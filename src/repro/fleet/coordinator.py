@@ -104,6 +104,21 @@ class HostState:
     quarantines: int = 0
 
 
+def kill_process(proc) -> None:
+    """Kill an asyncio subprocess unless it has already exited.
+
+    A child can exit between the supervisor's last look and its kill;
+    asyncio then raises :class:`ProcessLookupError`, which only means
+    there is nothing left to kill.
+    """
+    if proc.returncode is not None:
+        return
+    try:
+        proc.kill()
+    except ProcessLookupError:
+        pass
+
+
 def evaluate_probe(payload: object, local_salt: str) -> str | None:
     """Reason a probe payload disqualifies its host, or ``None`` if the
     host is admissible."""
@@ -262,7 +277,7 @@ class FleetCoordinator:
                     proc.communicate(), self.probe_timeout_s
                 )
             except asyncio.TimeoutError:
-                proc.kill()
+                kill_process(proc)
                 await proc.wait()
                 raise TransportDown(
                     f"probe timed out after {self.probe_timeout_s}s"
@@ -491,7 +506,7 @@ class FleetCoordinator:
                     f"per-job deadline expired ({self.lease.job_deadline_s}s)"
                 )
             if killed_reason is not None or self._should_stop():
-                proc.kill()
+                kill_process(proc)
                 break
             try:
                 await asyncio.wait_for(asyncio.shield(waiter), POLL_S)

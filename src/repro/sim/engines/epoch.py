@@ -8,7 +8,12 @@ whole multi-core access stream is consumed as vectorized trace columns,
 merged once into global front-end order, filtered through the shared
 LLC, and then replayed against flat array-backed bank/rank/bus state in
 tREFI-sized batches (``trefi_chunk`` windows per round) — no event
-queue, no callbacks, no per-event dispatch.  The *same defense objects*
+queue, no callbacks, no per-event dispatch.  The LLC filter
+(:func:`~repro.cpu.cache.filter_stream`) is exact and split by cache
+set: a set that never sees more distinct lines than the LLC has ways
+cannot evict, so its misses are its lines' first accesses, found for
+all such sets at once; only accesses to the sets that overflow replay
+through an LRU loop.  The *same defense objects*
 the event engine builds are driven through the narrowed
 :class:`~repro.core.defense.EpochBankView` interface, so every
 registered defense (QPRAC variants, MOAT, Panopticon, PrIDE, Mithril,
@@ -40,7 +45,6 @@ digests next to the event engine's.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +52,7 @@ import numpy as np
 from repro.controller.memctrl import DefenseFactory, MemStats, rfm_scope_banks
 from repro.core.defense import EpochBankView, MitigationReason
 from repro.obs.telemetry import active_telemetry
+from repro.cpu.cache import filter_stream
 from repro.cpu.core import WRITE_BUFFER_DEPTH
 from repro.cpu.system import SystemResult
 from repro.dram.address import AddressMapper
@@ -717,12 +722,16 @@ class _PreparedStream:
 def _prepare_stream(workload, n_entries, seed, org, cpu) -> _PreparedStream:
     """Traces → merged LLC stream → per-core DRAM request columns.
 
-    Trace columns are consumed vectorized (cumsum front-end clocks, one
-    lexsort merge, one array decode); only the inherently sequential LRU
-    filter runs as a Python loop, with every column pre-sliced to plain
-    lists.  The result depends only on the workload, the trace length,
-    the seed and the machine *geometry* — never on the defense or the
-    timing parameters — so it is memoized exactly like
+    Every step is vectorized over whole trace columns: cumsum front-end
+    clocks, one lexsort merge, the shared LLC as one
+    :func:`~repro.cpu.cache.filter_stream` call, and one array decode of
+    the resulting DRAM rows.  The filter splits the merged stream by
+    cache set: sets that never hold more distinct lines than the LLC has
+    ways take a closed form (a miss is a line's first access, and
+    nothing is evicted), and only accesses to overflowing sets replay
+    through an LRU loop.  The result depends only on the workload, the
+    trace length, the seed and the machine *geometry* — never on the
+    defense or the timing parameters — so it is memoized exactly like
     :func:`~repro.workloads.synthetic.generate_trace`: a defense sweep
     re-simulating one workload under many defenses pays for the LLC
     filter once.  Request tuples carry the flat bank *index* (banks are
@@ -755,93 +764,52 @@ def _prepare_stream(workload, n_entries, seed, org, cpu) -> _PreparedStream:
     # cross-core contention honest); core id breaks ties
     # deterministically.
     order = np.lexsort((all_core, all_front))
+    m_addr = all_addr[order]
+    m_write = all_write[order]
+    miss, writeback = filter_stream(
+        m_addr, m_write, cpu.llc_bytes, cpu.llc_ways, org.line_size_bytes
+    )
 
-    offset_bits = org.line_size_bytes.bit_length() - 1
-    line = all_addr[order] >> np.int64(offset_bits)
-    llc_sets = cpu.llc_bytes // (cpu.llc_ways * org.line_size_bytes)
-    set_bits = llc_sets.bit_length() - 1
-    m_core = all_core[order].tolist()
-    m_entry = all_entry[order].tolist()
-    m_addr = all_addr[order].tolist()
-    m_write = all_write[order].tolist()
-    m_set = (line & np.int64(llc_sets - 1)).tolist()
-    m_tag = (line >> np.int64(set_bits)).tolist()
+    # DRAM rows in merged order: each miss's demand fill, then its dirty
+    # victim's writeback (if any), both charged to the missing entry.
+    pos = np.flatnonzero(miss)
+    has_writeback = writeback[pos] >= 0
+    per_miss = 1 + has_writeback
+    rows = np.repeat(pos, per_miss)
+    demand = np.zeros(len(rows), dtype=bool)
+    demand[np.cumsum(per_miss) - per_miss] = True
+    row_addr = np.where(demand, m_addr[rows], writeback[rows])
+    row_write = ~demand | m_write[rows]
+    row_core = all_core[order][rows]
+    row_entry = all_entry[order][rows]
+    channel, _rank, _bg, _bank, dram_row, _col, flat = (
+        AddressMapper(org).decode_arrays(row_addr)
+    )
 
-    n_cores = cpu.cores
-    # Load bookkeeping is LLC-independent, so it is computed vectorized
-    # up front: LLC-hit loads occupy MSHR slots in the event core too
-    # (slots free on in-order retirement), so the MSHR window counts
-    # every load, and the ROB model retires at load granularity via
-    # per-load cumulative-instruction marks.
-    load_cums = []      # per core: entry -> loads issued through it
-    load_insts = []     # per core: per-load cumulative-inst mark
-    for c, trace in enumerate(traces):
-        is_load = ~trace.is_write
-        load_cums.append(np.cumsum(is_load).tolist())
-        load_insts.append(insts[c][np.nonzero(is_load)[0]].tolist())
-    p_entry: list[list[int]] = [[] for _ in range(n_cores)]
-    p_addr: list[list[int]] = [[] for _ in range(n_cores)]
-    p_write: list[list[bool]] = [[] for _ in range(n_cores)]
-    p_demand: list[list[bool]] = [[] for _ in range(n_cores)]
-    # SetAssociativeCache.access, inlined over the pre-sliced columns
-    # (this runs once per merged access; keep in sync with
-    # repro.cpu.cache — tests/test_engines.py asserts parity against
-    # the canonical cache over a real merged stream).
-    sets: list[OrderedDict] = [OrderedDict() for _ in range(llc_sets)]
-    n_ways = cpu.llc_ways
-    hits = 0
-    for c, e, addr, is_write, set_i, tag in zip(
-        m_core, m_entry, m_addr, m_write, m_set, m_tag
-    ):
-        ways = sets[set_i]
-        if tag in ways:
-            hits += 1
-            ways.move_to_end(tag)
-            if is_write:
-                ways[tag] = True
-            continue
-        writeback = None
-        if len(ways) >= n_ways:
-            victim, dirty = ways.popitem(last=False)
-            if dirty:
-                writeback = ((victim << set_bits) | set_i) << offset_bits
-        ways[tag] = is_write
-        p_entry[c].append(e)
-        p_addr[c].append(addr)
-        p_write[c].append(is_write)
-        p_demand[c].append(True)
-        if writeback is not None:
-            p_entry[c].append(e)
-            p_addr[c].append(writeback)
-            p_write[c].append(True)
-            p_demand[c].append(False)
-
-    mapper = AddressMapper(org)
     stream = _PreparedStream()
     for c, trace in enumerate(traces):
-        if p_addr[c]:
-            addr_arr = np.asarray(p_addr[c], dtype=np.int64)
-            channel, _rank, _bg, _bank, row, _col, flat = (
-                mapper.decode_arrays(addr_arr)
-            )
-            entries = np.asarray(p_entry[c], dtype=np.int64)
-            cum = load_cums[c]
-            reqs = list(zip(
-                fronts[c][entries].tolist(),
-                insts[c][entries].tolist(),
-                [cum[e] for e in p_entry[c]],
-                flat.tolist(),
-                row.tolist(),
-                channel.tolist(),
-                p_write[c],
-                p_demand[c],
-            ))
-        else:
-            reqs = []
-        stream.reqs.append(reqs)
-        stream.load_inst.append(load_insts[c])
+        # Load bookkeeping is LLC-independent: LLC-hit loads occupy MSHR
+        # slots in the event core too (slots free on in-order
+        # retirement), so the MSHR window counts every load, and the ROB
+        # model retires at load granularity via per-load
+        # cumulative-instruction marks.
+        is_load = ~trace.is_write
+        load_cum = np.cumsum(is_load)
+        sel = np.flatnonzero(row_core == c)
+        entries = row_entry[sel]
+        stream.reqs.append(list(zip(
+            fronts[c][entries].tolist(),
+            insts[c][entries].tolist(),
+            load_cum[entries].tolist(),
+            flat[sel].tolist(),
+            dram_row[sel].tolist(),
+            channel[sel].tolist(),
+            row_write[sel].tolist(),
+            demand[sel].tolist(),
+        )))
+        stream.load_inst.append(insts[c][np.flatnonzero(is_load)].tolist())
         stream.front_total.append(float(fronts[c][-1]))
         stream.total_instructions.append(trace.total_instructions)
-    stream.llc_hits = hits
-    stream.llc_total = len(m_core)
+    stream.llc_total = len(order)
+    stream.llc_hits = stream.llc_total - len(pos)
     return stream

@@ -359,77 +359,110 @@ def test_differential_headline_cell():
         assert alerts_within_tolerance(event_at, epoch_at), defense
 
 
-def test_epoch_llc_filter_matches_canonical_cache():
-    """The LLC loop inlined in the epoch engine's stream preparation
-    must stay decision-identical to SetAssociativeCache.access: drive
-    the canonical cache over the same merged access stream and compare
-    hit counts and the full per-core DRAM request columns (guards the
-    'keep in sync' copy, like the event engine's twin test in
-    test_determinism_golden.py)."""
+def _reference_stream(workload, n_entries, seed, org, cpu) -> dict:
+    """Every field ``_prepare_stream`` returns, rebuilt one access at a
+    time through the canonical :class:`SetAssociativeCache` and the
+    scalar address decoder, over the same front-end merge order."""
     import numpy as np
 
     from repro.cpu.cache import SetAssociativeCache
     from repro.dram.address import AddressMapper
+    from repro.workloads.synthetic import generate_trace
+
+    traces = [
+        generate_trace(workload, n_entries, org, seed=seed * 1000 + c)
+        for c in range(cpu.cores)
+    ]
+    insts = [np.cumsum(t.instruction_needs()).tolist() for t in traces]
+    per_inst_ns = cpu.cycle_ns / cpu.issue_width
+    fronts = [[i * per_inst_ns for i in core] for core in insts]
+    loads_through = [
+        np.cumsum(~t.is_write).tolist() for t in traces
+    ]
+    merged = sorted(
+        (front, c, e)
+        for c, core in enumerate(fronts) for e, front in enumerate(core)
+    )
+    llc = SetAssociativeCache(cpu.llc_bytes, cpu.llc_ways,
+                              org.line_size_bytes)
+    mapper = AddressMapper(org)
+    reqs: list[list[tuple]] = [[] for _ in range(cpu.cores)]
+
+    def request(c, e, addr, is_write, demand):
+        ch, _r, _bg, _b, row, _col, flat = mapper.decode_flat(addr)
+        reqs[c].append((fronts[c][e], insts[c][e], loads_through[c][e],
+                        flat, row, ch, is_write, demand))
+
+    for _front, c, e in merged:
+        addr = int(traces[c].addresses[e])
+        is_write = bool(traces[c].is_write[e])
+        hit, writeback = llc.access(addr, is_write)
+        if not hit:
+            request(c, e, addr, is_write, True)
+            if writeback is not None:
+                request(c, e, writeback, True, False)
+    return {
+        "reqs": reqs,
+        "load_inst": [
+            [insts[c][e] for e in np.flatnonzero(~t.is_write).tolist()]
+            for c, t in enumerate(traces)
+        ],
+        "front_total": [core[-1] for core in fronts],
+        "total_instructions": [t.total_instructions for t in traces],
+        "llc_hits": llc.hits,
+        "llc_total": llc.hits + llc.misses,
+        "writebacks": llc.writebacks,
+    }
+
+
+@pytest.mark.parametrize("llc_kib,overflowing", [
+    (8192, "none"),   # the default LLC: every set takes the closed form
+    (512, "some"),    # both the closed form and the LRU replay
+    (64, "all"),      # every set overflows: evictions and writebacks
+], ids=["8MB", "512KB", "64KB"])
+def test_epoch_llc_filter_matches_canonical_cache(llc_kib, overflowing):
+    """The epoch engine's stream preparation must equal a per-access
+    pass through SetAssociativeCache.access, field for field, whichever
+    way the set-decomposed filter splits the stream."""
+    import dataclasses
+
+    import numpy as np
+
     from repro.params import default_config
     from repro.sim.engines.epoch import _prepare_stream
     from repro.workloads.suites import workload as lookup_workload
     from repro.workloads.synthetic import generate_trace
 
-    import dataclasses
-
     config = default_config()
     org = config.org
-    # A deliberately tiny LLC so 2000 entries/core overflow it: the
-    # parity must cover evictions and dirty writebacks, not just the
-    # hit/miss split.
-    cpu = dataclasses.replace(config.cpu, llc_bytes=64 * 1024)
+    cpu = dataclasses.replace(config.cpu, llc_bytes=llc_kib * 1024)
     workload = lookup_workload("ycsb-a")  # write-heavy: dirty evictions
     n_entries = 2000
     stream = _prepare_stream(workload, n_entries, 0, org, cpu)
+    reference = _reference_stream(workload, n_entries, 0, org, cpu)
 
-    # Reference pass: the canonical cache over the identical merged
-    # order (recomputed here exactly as _prepare_stream builds it).
-    traces = [
-        generate_trace(workload, n_entries, org, seed=c)
+    # The cell must reach the filter path it is named for.
+    lines = np.concatenate([
+        generate_trace(workload, n_entries, org, seed=c).addresses
         for c in range(cpu.cores)
-    ]
-    fronts = [
-        np.cumsum(t.instruction_needs()) * (cpu.cycle_ns / cpu.issue_width)
-        for t in traces
-    ]
-    all_front = np.concatenate(fronts)
-    all_core = np.concatenate([
-        np.full(len(t), c, dtype=np.int64) for c, t in enumerate(traces)
-    ])
-    all_addr = np.concatenate([t.addresses for t in traces])
-    all_write = np.concatenate([t.is_write for t in traces])
-    order = np.lexsort((all_core, all_front))
+    ]) >> (org.line_size_bytes.bit_length() - 1)
+    n_sets = cpu.llc_bytes // (cpu.llc_ways * org.line_size_bytes)
+    distinct = np.bincount(np.unique(lines) & (n_sets - 1),
+                           minlength=n_sets)
+    overflow = distinct > cpu.llc_ways
+    assert {"none": not overflow.any(), "all": overflow.all(),
+            "some": overflow.any() and not overflow.all()}[overflowing]
+    if overflowing != "none":
+        assert reference["writebacks"] > 0, "must exercise writebacks"
 
-    llc = SetAssociativeCache(cpu.llc_bytes, cpu.llc_ways,
-                              org.line_size_bytes)
-    mapper = AddressMapper(org)
-    reference: list[list[tuple]] = [[] for _ in range(cpu.cores)]
-    for c, addr, is_write in zip(
-        all_core[order].tolist(), all_addr[order].tolist(),
-        all_write[order].tolist(),
-    ):
-        hit, writeback = llc.access(addr, is_write)
-        if not hit:
-            ch, _r, _bg, _b, row, _col, flat = mapper.decode_flat(addr)
-            reference[c].append((flat, row, ch, is_write, True))
-            if writeback is not None:
-                ch, _r, _bg, _b, row, _col, flat = \
-                    mapper.decode_flat(writeback)
-                reference[c].append((flat, row, ch, True, False))
-    assert llc.writebacks > 0, "cell must exercise the writeback path"
-    assert stream.llc_hits == llc.hits
     for c in range(cpu.cores):
-        got = [
-            (bank_i, row, ch, is_write, demand)
-            for (_f, _i, _l, bank_i, row, ch, is_write, demand)
-            in stream.reqs[c]
-        ]
-        assert got == reference[c], f"core {c} request stream diverged"
+        assert stream.reqs[c] == reference["reqs"][c], \
+            f"core {c} request stream diverged"
+    assert stream.load_inst == reference["load_inst"]
+    assert stream.front_total == reference["front_total"]
+    assert stream.total_instructions == reference["total_instructions"]
+    assert stream.llc_hits == reference["llc_hits"]
+    assert stream.llc_total == reference["llc_total"]
 
 
 # ----------------------------------------------------------------------

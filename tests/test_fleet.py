@@ -12,6 +12,7 @@ rows, and the hardened ``subprocess-ssh`` retry path.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import subprocess
@@ -41,7 +42,11 @@ from repro.fleet import (
     RetryPolicy,
     WorkerFault,
 )
-from repro.fleet.coordinator import RemoteFleetBackend, evaluate_probe
+from repro.fleet.coordinator import (
+    RemoteFleetBackend,
+    evaluate_probe,
+    kill_process,
+)
 
 ENTRIES = 300
 
@@ -225,6 +230,45 @@ class TestProbe:
         )
         payload = json.loads(out.stdout)
         assert payload["code_salt"] == code_version_salt()
+
+
+class TestKillProcess:
+    """The supervisor's kill of a worker or probe that already exited."""
+
+    def test_exited_process_is_not_signalled(self):
+        async def scenario():
+            proc = await asyncio.create_subprocess_exec(
+                sys.executable, "-c", "pass",
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            await proc.communicate()
+            # The exit is fully processed: a bare kill() now raises.
+            with pytest.raises(ProcessLookupError):
+                proc.kill()
+            kill_process(proc)
+            return proc.returncode
+
+        assert asyncio.run(scenario()) == 0
+
+    def test_exit_racing_the_kill_is_absorbed(self):
+        class Racing:
+            # Exited after the returncode check, before the signal.
+            returncode = None
+
+            def kill(self):
+                raise ProcessLookupError
+
+        kill_process(Racing())
+
+    def test_live_process_is_killed(self):
+        async def scenario():
+            proc = await asyncio.create_subprocess_exec(
+                sys.executable, "-c", "import time; time.sleep(60)",
+            )
+            kill_process(proc)
+            return await proc.wait()
+
+        assert asyncio.run(scenario()) != 0
 
 
 class TestWorkerHardening:

@@ -14,6 +14,9 @@ specifications:
   slicing) vs an independent reference decoder written from the
   documented layout, plus encode/decode round-trip laws, over random
   DRAM organizations.
+* :func:`~repro.cpu.cache.filter_stream` (set-decomposed whole-stream
+  LLC filter) vs a :meth:`~repro.cpu.cache.SetAssociativeCache.access`
+  loop over random geometries, hot-set skews and write ratios.
 
 Everything is seeded ``random.Random`` — failures reproduce exactly
 from the parametrized seed, and no new dependency is involved.
@@ -26,6 +29,7 @@ import random
 import pytest
 
 from repro.core.psq import PriorityServiceQueue, ReferencePriorityServiceQueue
+from repro.cpu.cache import SetAssociativeCache, filter_stream
 from repro.dram.address import AddressMapper, DramAddress
 from repro.params import DRAMOrganization
 
@@ -231,3 +235,53 @@ def test_encode_decode_roundtrip_random_coordinates(seed):
             bankgroup=bankgroup, bank=bank,
         ) == coords
         assert mapper.encode(mapper.decode(addr)) == addr
+
+
+# ----------------------------------------------------------------------
+# filter_stream: whole-stream LLC filter vs the per-access cache
+# ----------------------------------------------------------------------
+
+
+def _random_line_stream(rng: random.Random, num_sets: int, ways: int,
+                        line_size: int) -> tuple[list[int], list[bool]]:
+    """A seeded access stream with a hot-set skew and a write ratio.
+
+    Each set draws its lines from its own tag universe of 1 to
+    ``3 * ways`` tags, so some sets stay within their ways (the closed
+    form) and others overflow (the LRU replay); the skew steers a share
+    of the accesses onto a few hot sets.
+    """
+    skew = rng.choice((0.0, 0.5, 0.95))
+    write_ratio = rng.choice((0.0, 0.3, 1.0))
+    hot = rng.sample(range(num_sets), max(1, num_sets // 8))
+    tags = [rng.randint(1, 3 * ways) for _ in range(num_sets)]
+    addrs, writes = [], []
+    for _ in range(rng.randint(1, 800)):
+        s = rng.choice(hot) if rng.random() < skew else rng.randrange(num_sets)
+        line = rng.randrange(tags[s]) * num_sets + s
+        addrs.append(line * line_size + rng.randrange(line_size))
+        writes.append(rng.random() < write_ratio)
+    return addrs, writes
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_filter_stream_matches_per_access_cache(seed):
+    """Random geometry x random stream: the same miss positions and the
+    same writeback addresses as one canonical access per element."""
+    rng = random.Random(92_000 + seed)
+    num_sets = 1 << rng.randint(0, 6)
+    ways = rng.randint(1, 8)
+    line_size = 1 << rng.randint(4, 7)
+    size = num_sets * ways * line_size
+    addrs, writes = _random_line_stream(rng, num_sets, ways, line_size)
+
+    cache = SetAssociativeCache(size, ways, line_size)
+    ref_miss, ref_writeback = [], []
+    for addr, is_write in zip(addrs, writes):
+        hit, writeback = cache.access(addr, is_write)
+        ref_miss.append(not hit)
+        ref_writeback.append(-1 if writeback is None else writeback)
+
+    miss, writeback = filter_stream(addrs, writes, size, ways, line_size)
+    assert miss.tolist() == ref_miss, f"seed {seed}: miss positions"
+    assert writeback.tolist() == ref_writeback, f"seed {seed}: writebacks"
