@@ -226,13 +226,16 @@ def _measure_cell(
     itself are all inside the timed window — but drives the engine
     directly so its work-unit counter is observable.  ``telemetry`` is
     only forwarded when enabled, so the timed path never pays for the
-    seam.
+    seam.  The event engine's inert-run memo is emptied first, so every
+    repeat times the full event loop rather than a replay.
     """
     from repro.defenses import resolve_defense
     from repro.params import default_config
     from repro.sim.engines import resolve_engine
+    from repro.sim.engines.event import clear_inert_runs
     from repro.workloads.suites import workload as lookup_workload
 
+    clear_inert_runs()
     started = time.perf_counter()
     spec = resolve_defense(defense)
     config = default_config()

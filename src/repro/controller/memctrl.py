@@ -30,15 +30,25 @@ would not pay for itself there); the whole service path runs as one
 function (:meth:`MemorySystem._consider_bank`); and the REF-window test
 is served from a per-rank cached REF-free interval so the steady state
 pays two float compares instead of a modulo per timing query.
+
+Every run records its ordered defense-hook sequence in
+:attr:`MemorySystem.hook_log`, one integer per hook: ``row * n_banks +
+bank`` for each ACT's ``on_activation``, ``~rank`` for each REF tick's
+``on_ref`` fan-out.  A run without Alerts, ABO RFMs or cadence RFMs
+never let a defense steer its timing, so any defense that answers the
+same log without requesting an Alert would have produced the same run;
+the ``event`` engine replays logs to skip such runs
+(:mod:`repro.sim.engines.event`).
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
 from typing import Callable
 
 from repro.controller.request import Request
-from repro.core.defense import BankDefense, MitigationReason
+from repro.core.defense import BankDefense, MitigationReason, mitigation_totals
 from repro.obs.telemetry import active_telemetry
 from repro.dram.address import AddressMapper
 from repro.dram.bank import BankState
@@ -212,6 +222,9 @@ class MemorySystem:
                 # Allow the very first Alert without an ABO_Delay debt.
                 self.ranks.append(rank_state)
         self.bus_free = [0.0] * org.channels
+        #: Ordered defense-hook sequence of the run (see the module
+        #: docstring for the encoding).
+        self.hook_log = array("q")
         self._schedule_future = self.events.schedule_future
         # Decode constants for the inline decode in enqueue(), packed so
         # the per-access prologue is one attribute load + tuple unpack.
@@ -251,6 +264,8 @@ class MemorySystem:
             self.stats,
             self.events,
             self.telemetry.record_request if self.telemetry else None,
+            self.hook_log.append,
+            len(self.banks),
         )
         if enable_refresh:
             for rank_state in self.ranks:
@@ -329,11 +344,7 @@ class MemorySystem:
 
     def defense_stats(self) -> dict[MitigationReason, int]:
         """Total mitigations by reason, summed over all banks."""
-        totals = {reason: 0 for reason in MitigationReason}
-        for bank in self.banks:
-            for reason, count in bank.defense.stats.mitigations_by_reason.items():
-                totals[reason] += count
-        return totals
+        return mitigation_totals(bank.defense for bank in self.banks)
 
     @property
     def queued_requests(self) -> int:
@@ -380,7 +391,7 @@ class MemorySystem:
 
         (
             t_rp, t_rc, t_ras, t_rcd, t_rrd, t_cl, t_burst, t_wr, t_rtp,
-            bus_free, stats, events, tm_record,
+            bus_free, stats, events, tm_record, log_hook, n_banks,
         ) = self._service_hot
         rank = bank.rank_state
         start = now
@@ -453,6 +464,7 @@ class MemorySystem:
             bank.acts += 1
             stats.acts += 1
             rank.acts_since_rfm += 1
+            log_hook(row * n_banks + bank.index)
             wants_alert = bank.defense.on_activation(row)
             cadence = bank.cadence_acts
             if cadence is not None:
@@ -599,6 +611,7 @@ class MemorySystem:
         """Periodic per-rank REF: defense hooks plus self-rescheduling."""
         rank.refs += 1
         self.stats.refs += 1
+        self.hook_log.append(~rank.index)
         for bank in rank.banks:
             bank.defense.on_ref()
         if self.telemetry is not None:

@@ -59,6 +59,16 @@ class DefenseStats:
         self.victim_refreshes += victims
 
 
+def mitigation_totals(defenses) -> dict[MitigationReason, int]:
+    """Mitigations by reason, summed over an iterable of bank defenses
+    (the ``mitigations`` field of every engine's result)."""
+    totals = {reason: 0 for reason in MitigationReason}
+    for defense in defenses:
+        for reason, count in defense.stats.mitigations_by_reason.items():
+            totals[reason] += count
+    return totals
+
+
 def blast_radius_victims(row: int, radius: int, num_rows: int) -> list[int]:
     """Victim rows within ``radius`` of ``row``, clipped to the bank."""
     victims = []

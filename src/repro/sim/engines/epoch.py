@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.controller.memctrl import DefenseFactory, MemStats, rfm_scope_banks
-from repro.core.defense import EpochBankView, MitigationReason
+from repro.core.defense import EpochBankView, mitigation_totals
 from repro.obs.telemetry import active_telemetry
 from repro.cpu.cache import filter_stream
 from repro.cpu.core import WRITE_BUFFER_DEPTH
@@ -275,7 +275,7 @@ class EpochEngine(SimEngine):
             instructions=sum(c.total_instructions for c in cores),
             stats=stats,
             llc_hit_rate=llc_hits / llc_total if llc_total else 0.0,
-            mitigations=self._defense_stats(banks),
+            mitigations=mitigation_totals(bank.view.defense for bank in banks),
         )
         if tm is not None:
             result.latency = tm.summary_dict()
@@ -689,18 +689,6 @@ class EpochEngine(SimEngine):
                 if rfm_end > member.blocked:
                     member.blocked = rfm_end
                 member.open_row = -1
-
-    # ------------------------------------------------------------------
-    # Result assembly helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _defense_stats(banks) -> dict[MitigationReason, int]:
-        totals = {reason: 0 for reason in MitigationReason}
-        for bank in banks:
-            by_reason = bank.view.defense.stats.mitigations_by_reason
-            for reason, count in by_reason.items():
-                totals[reason] += count
-        return totals
 
 
 class _PreparedStream:

@@ -11,6 +11,15 @@ from repro.params import (
     PRACParams,
     SystemConfig,
 )
+from repro.sim.engines.event import clear_inert_runs
+
+
+@pytest.fixture(autouse=True)
+def _fresh_inert_runs():
+    """Each test starts with an empty event-engine inert-run memo, so a
+    digest test simulates in full rather than replaying a run an
+    earlier test left behind."""
+    clear_inert_runs()
 
 
 @pytest.fixture

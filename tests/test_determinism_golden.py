@@ -42,6 +42,7 @@ from repro.exp.serialize import (
     result_to_dict,
 )
 from repro.sim import simulate_workload
+from repro.sim.engines.event import clear_inert_runs, inert_run_info
 
 #: Environment the golden digests were recorded under.
 GOLDEN_ENVIRONMENT = {"numpy": "2.4.6", "python": "3.11"}
@@ -149,8 +150,131 @@ def test_golden_table_covers_every_registered_defense():
 def test_golden_stable_across_repeated_runs():
     """Two runs in one process (warm trace cache) are byte-identical."""
     first = simulate_workload("429.mcf", defense="qprac", n_entries=2000)
+    clear_inert_runs()  # both runs simulate in full
     second = simulate_workload("429.mcf", defense="qprac", n_entries=2000)
     assert result_digest(first) == result_digest(second)
+
+
+# ----------------------------------------------------------------------
+# Inert-run replay: served and fallen-back jobs match full simulation
+# ----------------------------------------------------------------------
+@needs_golden_env
+def test_inert_run_replay_matches_every_defense_golden():
+    """With the baseline's inert run stored, every pinned defense still
+    hits its golden digest, whether its job is served by replaying the
+    baseline's hook log or falls back to a full simulation (a replayed
+    ACT requests an Alert, or the defense has an RFM cadence)."""
+    simulate_workload("429.mcf", defense="baseline", n_entries=2000, seed=0)
+    for defense, digest in sorted(GOLDEN_DEFENSE_HASHES.items()):
+        result = simulate_workload(
+            "429.mcf", defense=defense, n_entries=2000, seed=0
+        )
+        assert result_digest(result) == digest, defense
+    info = inert_run_info()
+    assert info.hits >= 1, info
+    assert info.diverged >= 1, info
+
+
+@pytest.mark.parametrize("attack,served", [
+    ("hammer:banks=4", True),  # the LLC absorbs it: 8 ACTs, no Alert
+    ("hammer:banks=1,rows_per_bank=48", False),  # QPRAC alerts
+])
+def test_inert_run_replay_of_attack_pattern_is_exact(attack, served):
+    """Attack workloads key the memo like any workload; only an inert
+    run is stored, and a served job and a fallen-back one both equal a
+    full simulation byte for byte."""
+    for defense in ("qprac", "baseline"):
+        simulate_workload(attack=attack, defense=defense, n_entries=1500)
+    replayed = simulate_workload(attack=attack, defense="qprac",
+                                 n_entries=1500)
+    info = inert_run_info()
+    assert (info.hits, info.misses, info.diverged) == (
+        (2, 1, 0) if served else (0, 2, 1)
+    )
+    clear_inert_runs()
+    full = simulate_workload(attack=attack, defense="qprac", n_entries=1500)
+    assert result_digest(replayed) == result_digest(full)
+
+
+def test_inert_run_memo_is_a_bounded_lru():
+    from repro.sim.engines.event import INERT_RUNS_MAXSIZE
+
+    for seed in range(INERT_RUNS_MAXSIZE + 1):
+        simulate_workload("541.leela", defense="baseline", n_entries=200,
+                          seed=seed)
+    simulate_workload("541.leela", defense="baseline", n_entries=200,
+                      seed=INERT_RUNS_MAXSIZE)  # newest: served
+    simulate_workload("541.leela", defense="baseline", n_entries=200,
+                      seed=0)  # oldest: evicted
+    info = inert_run_info()
+    assert info.currsize == info.maxsize == INERT_RUNS_MAXSIZE
+    assert (info.hits, info.misses) == (1, INERT_RUNS_MAXSIZE + 2)
+
+
+def test_inert_run_memo_is_bypassed_with_telemetry_on():
+    """An observed run is always simulated: its latency summary needs
+    the event loop.  Its canonical digest still equals the served one."""
+    from repro.obs import Telemetry
+
+    simulate_workload("470.lbm", defense="baseline", n_entries=600)
+    served = simulate_workload("470.lbm", defense="qprac", n_entries=600)
+    assert inert_run_info().hits == 1
+    observed = simulate_workload("470.lbm", defense="qprac", n_entries=600,
+                                 telemetry=Telemetry())
+    assert inert_run_info().hits == 1
+    assert observed.latency is not None
+    assert result_digest(observed) == result_digest(served)
+
+
+def test_inert_run_memo_under_concurrent_sweeps():
+    """Sweep-service workers are threads sharing the memo: every job
+    still gets its full-simulation digest and no counter update is
+    lost."""
+    import sys
+    import threading
+
+    cells = [(seed, defense) for seed in range(3)
+             for defense in ("baseline", "qprac+proactive")]
+
+    def digest(cell):
+        seed, defense = cell
+        return result_digest(simulate_workload(
+            "541.leela", defense=defense, n_entries=200, seed=seed
+        ))
+
+    expected = {}
+    for cell in cells:
+        clear_inert_runs()
+        expected[cell] = digest(cell)
+    clear_inert_runs()
+    seen, errors = [], []
+
+    def worker(offset):
+        try:
+            for k in range(len(cells)):
+                cell = cells[(offset + k) % len(cells)]
+                seen.append((cell, digest(cell)))
+        except Exception as exc:  # surfaced by the assertions below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(seen) == 4 * len(cells)
+    assert all(found == expected[cell] for cell, found in seen)
+    info = inert_run_info()
+    assert info.hits + info.misses + info.diverged == len(seen)
+    assert info.hits > 0
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +432,7 @@ def test_inlined_llc_path_matches_canonical_cache(monkeypatch):
             self.memory.enqueue(writeback, True, llc_done, callback=None)
 
     fast = simulate_workload("429.mcf", defense="qprac", n_entries=1500)
+    clear_inert_runs()  # the patched run must not replay the fast one
     monkeypatch.setattr(
         MulticoreSystem, "_issue_access", reference_issue_access
     )

@@ -488,6 +488,16 @@ def test_bench_records_engine_and_speedup():
         report.reference_event.wall_s
 
 
+def test_bench_cells_time_the_full_event_loop():
+    """Every timed repeat runs the event loop: a second measurement of
+    an inert cell is not served by inert-run replay."""
+    from repro.bench import _measure_cell
+
+    first = _measure_cell("429.mcf", "baseline", 400)[1]
+    second = _measure_cell("429.mcf", "baseline", 400)[1]
+    assert first == second > 0
+
+
 def test_bench_comparison_never_pairs_engines():
     from repro.bench import BenchReport, CellResult, compare_reports
 
