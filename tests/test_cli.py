@@ -91,10 +91,10 @@ class TestParser:
 
     def test_sweep_backend_options(self):
         args = build_parser().parse_args(
-            ["sweep", "429.mcf", "--backend", "local-queue", "--jobs", "4",
+            ["sweep", "429.mcf", "--backend", "remote-fleet", "--jobs", "4",
              "--hosts", "local", "local", "--print-digest"]
         )
-        assert args.backend == "local-queue"
+        assert args.backend == "remote-fleet"
         assert args.hosts == ["local", "local"]
         assert args.print_digest
 
@@ -212,8 +212,9 @@ class TestCommands:
     def test_backends_listing(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("serial", "pool", "local-queue", "subprocess-ssh"):
-            assert name in out
+        rows = out.splitlines()[3:]  # past the title, header and rule
+        listed = {row.split()[0] for row in rows if row.strip()}
+        assert listed == {"serial", "pool", "remote-fleet"}
 
     def test_sweep_unknown_backend_is_an_error(self, capsys, tmp_path):
         assert main(
@@ -222,9 +223,24 @@ class TestCommands:
         ) == 1
         assert "unknown sweep backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend", ["pool", "auto"])
+    def test_sweep_hosts_on_a_local_backend_is_an_error(
+        self, capsys, backend
+    ):
+        assert main(
+            ["sweep", "541.leela", "--defenses", "qprac", "--entries", "300",
+             "--backend", backend, "--jobs", "2", "--hosts", "h1", "h2",
+             "--no-cache", "--quiet"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "error: backend" in captured.err
+        assert "'remote-fleet'" in captured.err
+        assert "h1, h2" in captured.err
+        assert captured.out == ""
+
     def test_sweep_print_digest_is_backend_stable(self, capsys, tmp_path):
         digests = []
-        for backend, jobs in (("serial", "1"), ("local-queue", "2")):
+        for backend, jobs in (("serial", "1"), ("pool", "2")):
             assert main(
                 ["sweep", "541.leela", "--defenses", "qprac", "--entries",
                  "300", "--backend", backend, "--jobs", jobs,
