@@ -130,7 +130,6 @@ def baselines(config):
 def variant_runs(config):
     """All five evaluated variants over the bench workloads
     (shared by Figures 14 and 15)."""
-    from repro.params import MitigationVariant
     from repro.sim import EVALUATED_VARIANTS
 
     spec = SweepSpec(
@@ -141,5 +140,4 @@ def variant_runs(config):
         n_entries=bench_entries(),
         engine=bench_engine(),
     )
-    table = bench_sweep(spec).results_by_variant()
-    return {MitigationVariant(name): runs for name, runs in table.items()}
+    return bench_sweep(spec).results_by_variant()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 
 from repro.defenses import resolve_defense
-from repro.params import default_config
 from repro.sim.runner import build_system
 
 WORKLOAD = "429.mcf"
@@ -22,17 +21,11 @@ REPEATS = 3
 
 def main() -> None:
     spec = resolve_defense(DEFENSE)
-    config = default_config()
-    if spec.variant is not None:
-        config = config.with_variant(spec.variant)
     best = float("inf")
     events = 0
     for _ in range(REPEATS):
         started = time.perf_counter()
-        system = build_system(
-            WORKLOAD, config, defense_factory=spec.factory(),
-            n_entries=N_ENTRIES,
-        )
+        system = build_system(WORKLOAD, defense=spec, n_entries=N_ENTRIES)
         system.run(variant_name=spec.label)
         elapsed = time.perf_counter() - started
         events = system.events.events_processed

@@ -16,7 +16,6 @@ from conftest import (
 )
 
 from repro.exp import SweepSpec, mean_slowdown_by_override
-from repro.params import MitigationVariant
 
 
 def test_fig17_psq_size_sensitivity(benchmark, config, baselines):
@@ -27,13 +26,13 @@ def test_fig17_psq_size_sensitivity(benchmark, config, baselines):
     # Two orchestrated grids sharing the fixture baselines (overrides only
     # alter the defense, so the insecure baseline is unaffected by them).
     size_spec = SweepSpec.build(
-        names, (MitigationVariant.QPRAC,),
+        names, ("qprac",),
         overrides=tuple({"psq_size": s} for s in sizes),
         config=config, include_baseline=False, n_entries=entries,
         engine=bench_engine(),
     )
     cadence_spec = SweepSpec.build(
-        names, (MitigationVariant.QPRAC_PROACTIVE_EA,),
+        names, ("qprac+proactive-ea",),
         overrides=tuple({"proactive_every_n_refs": c} for c in cadences),
         config=config, include_baseline=False, n_entries=entries,
         engine=bench_engine(),
@@ -42,7 +41,7 @@ def test_fig17_psq_size_sensitivity(benchmark, config, baselines):
     def build():
         rows = []
         size_means = mean_slowdown_by_override(
-            bench_sweep(size_spec), MitigationVariant.QPRAC.value, baselines
+            bench_sweep(size_spec), "qprac", baselines
         )
         qprac_by_size = {
             size: size_means[(("psq_size", size),)] for size in sizes
@@ -51,7 +50,7 @@ def test_fig17_psq_size_sensitivity(benchmark, config, baselines):
             rows.append([size, "qprac", round(qprac_by_size[size], 2)])
         cadence_means = mean_slowdown_by_override(
             bench_sweep(cadence_spec),
-            MitigationVariant.QPRAC_PROACTIVE_EA.value, baselines,
+            "qprac+proactive-ea", baselines,
         )
         for cadence in cadences:
             mean = cadence_means[(("proactive_every_n_refs", cadence),)]

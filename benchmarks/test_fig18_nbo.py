@@ -13,12 +13,11 @@ from __future__ import annotations
 from conftest import bench_engine, bench_entries, bench_workloads, bench_sweep, emit_table
 
 from repro.exp import SweepSpec, mean_slowdown_by_override
-from repro.params import MitigationVariant
 
 VARIANTS = (
-    MitigationVariant.QPRAC,
-    MitigationVariant.QPRAC_PROACTIVE,
-    MitigationVariant.QPRAC_PROACTIVE_EA,
+    "qprac",
+    "qprac+proactive",
+    "qprac+proactive-ea",
 )
 
 NBO_VALUES = (16, 32, 64, 128)
@@ -41,7 +40,7 @@ def test_fig18_nbo_sensitivity(benchmark, config, baselines):
         sweep = bench_sweep(spec)
         table = {}
         for variant in VARIANTS:
-            means = mean_slowdown_by_override(sweep, variant.value, baselines)
+            means = mean_slowdown_by_override(sweep, variant, baselines)
             for overrides, mean in means.items():
                 n_bo = dict(overrides)["n_bo"]
                 table[(n_bo, variant)] = mean
@@ -55,14 +54,14 @@ def test_fig18_nbo_sensitivity(benchmark, config, baselines):
     emit_table(
         "fig18",
         "Figure 18: slowdown %% vs N_BO (paper: 2.3%% @16 -> <=0.8%% @32+)",
-        ["N_BO"] + [v.value for v in VARIANTS],
+        ["N_BO"] + list(VARIANTS),
         rows,
     )
-    qprac = {n_bo: table[(n_bo, MitigationVariant.QPRAC)] for n_bo in NBO_VALUES}
+    qprac = {n_bo: table[(n_bo, "qprac")] for n_bo in NBO_VALUES}
     # Lower thresholds cost more; >=32 is cheap.
     assert qprac[16] >= qprac[32] - 0.1
     assert qprac[32] < 1.5 and qprac[64] < 1.0 and qprac[128] < 1.0
     for n_bo in (32, 64, 128):
-        assert table[(n_bo, MitigationVariant.QPRAC_PROACTIVE)] < 0.5
-        assert table[(n_bo, MitigationVariant.QPRAC_PROACTIVE_EA)] < 0.5
-    assert table[(16, MitigationVariant.QPRAC_PROACTIVE)] < qprac[16] + 0.2
+        assert table[(n_bo, "qprac+proactive")] < 0.5
+        assert table[(n_bo, "qprac+proactive-ea")] < 0.5
+    assert table[(16, "qprac+proactive")] < qprac[16] + 0.2

@@ -21,7 +21,7 @@ from conftest import bench_store, emit, emit_series
 
 from repro.analysis.report import render_series
 from repro.exp import attack_job, run_attack_jobs
-from repro.params import MitigationVariant, RfmScope
+from repro.params import RfmScope
 from repro.sim import analytical_bandwidth_reduction
 
 NBO_VALUES = (16, 32, 64, 128)
@@ -75,8 +75,8 @@ def test_fig19_simulated_attack(benchmark, config):
         (label, n_bo, variant)
         for n_bo in (16, 64)
         for variant, label in (
-            (MitigationVariant.QPRAC, "QPRAC"),
-            (MitigationVariant.QPRAC_PROACTIVE, "QPRAC+Pro"),
+            ("qprac", "QPRAC"),
+            ("qprac+proactive", "QPRAC+Pro"),
         )
     ]
 

@@ -22,11 +22,10 @@ from conftest import (
 
 from repro.defenses import DefenseSpec
 from repro.exp import SweepSpec, mean_slowdown_by_override
-from repro.params import MitigationVariant
 
 TRH_VALUES = (64, 256, 1024)
 
-QPRAC_EA = MitigationVariant.QPRAC_PROACTIVE_EA.value
+QPRAC_EA = "qprac+proactive-ea"
 
 
 def test_fig20_vs_mithril_and_pride(benchmark, config, baselines):

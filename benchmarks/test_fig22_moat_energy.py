@@ -16,13 +16,12 @@ from conftest import bench_engine, bench_entries, bench_sweep, bench_workloads, 
 
 from repro.energy import mitigation_energy_pct
 from repro.exp import SweepSpec
-from repro.params import MitigationVariant
 
 DEFENSES = (
     "moat",
     "moat:proactive_every_n_refs=1",
-    MitigationVariant.QPRAC,
-    MitigationVariant.QPRAC_PROACTIVE_EA,
+    "qprac",
+    "qprac+proactive-ea",
 )
 
 LABELS = ("MOAT", "MOAT+Pro", "QPRAC", "QPRAC+Pro-EA")

@@ -11,13 +11,12 @@ from __future__ import annotations
 from conftest import bench_engine, bench_entries, bench_workloads, emit_table
 
 from repro.energy import mitigation_energy_pct
-from repro.params import MitigationVariant
 from repro.sim import simulate_workload
 
 VARIANTS = (
-    MitigationVariant.QPRAC,
-    MitigationVariant.QPRAC_PROACTIVE,
-    MitigationVariant.QPRAC_PROACTIVE_EA,
+    "qprac",
+    "qprac+proactive",
+    "qprac+proactive-ea",
 )
 
 
@@ -33,7 +32,7 @@ def test_table3_energy_overhead(benchmark, config):
                 values = []
                 for name in names:
                     run = simulate_workload(
-                        name, config=cfg, variant=variant,
+                        name, config=cfg, defense=variant,
                         n_entries=entries, engine=bench_engine(),
                     )
                     values.append(mitigation_energy_pct(run, cfg))
@@ -50,13 +49,13 @@ def test_table3_energy_overhead(benchmark, config):
         "table3",
         "Table III: energy overhead %% "
         "(paper: ~1.2-1.5 / 14.6 / 1.9)",
-        ["PRAC level"] + [v.value for v in VARIANTS],
+        ["PRAC level"] + list(VARIANTS),
         rows,
     )
     for n_mit in (1, 2, 4):
-        qprac = table[(n_mit, MitigationVariant.QPRAC)]
-        pro = table[(n_mit, MitigationVariant.QPRAC_PROACTIVE)]
-        ea = table[(n_mit, MitigationVariant.QPRAC_PROACTIVE_EA)]
+        qprac = table[(n_mit, "qprac")]
+        pro = table[(n_mit, "qprac+proactive")]
+        ea = table[(n_mit, "qprac+proactive-ea")]
         # The headline ordering: proactive-on-every-REF is an order of
         # magnitude costlier than both QPRAC and the energy-aware design.
         assert ea < pro / 3

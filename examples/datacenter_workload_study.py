@@ -22,15 +22,15 @@ import argparse
 from repro.analysis.report import render_table
 from repro.energy import mitigation_energy_pct
 from repro.exp import ResultStore, SweepSpec, run_sweep, stderr_progress
-from repro.params import MitigationVariant, default_config
+from repro.params import default_config
 from repro.workloads import workloads_by_suite
 
 ENTRIES = 5000
 SUITES = ("tpc", "ycsb", "hadoop")
 VARIANTS = (
-    MitigationVariant.QPRAC_NOOP,
-    MitigationVariant.QPRAC,
-    MitigationVariant.QPRAC_PROACTIVE_EA,
+    "qprac-noop",
+    "qprac",
+    "qprac+proactive-ea",
 )
 
 
@@ -72,12 +72,12 @@ def main() -> None:
     rows = []
     for spec in specs:
         for variant in VARIANTS:
-            run = comparison.results[variant.value][spec.name]
+            run = comparison.results[variant][spec.name]
             rows.append([
                 spec.suite,
                 spec.name,
-                variant.value,
-                round(comparison.slowdown_pct(variant.value, spec.name), 2),
+                variant,
+                round(comparison.slowdown_pct(variant, spec.name), 2),
                 round(run.alerts_per_trefi, 3),
                 round(mitigation_energy_pct(run, config), 2),
             ])

@@ -18,13 +18,8 @@ Run:  python examples/performance_attack.py
 from __future__ import annotations
 
 from repro.analysis.report import render_series
-from repro.params import MitigationVariant, RfmScope, default_config
-from repro.sim import (
-    analytical_bandwidth_reduction,
-    baseline_factory,
-    qprac_factory,
-    run_bandwidth_attack,
-)
+from repro.params import RfmScope, default_config
+from repro.sim import analytical_bandwidth_reduction, run_bandwidth_attack
 
 NBO_VALUES = (16, 32, 64, 128)
 
@@ -61,20 +56,19 @@ def analytical() -> None:
 def simulated() -> None:
     config = default_config()
     base = run_bandwidth_attack(
-        config, defense_factory=baseline_factory(),
+        config, defense="baseline",
         measure_ns=120_000, warmup_ns=40_000, pool_rows_per_bank=8,
     )
     print(f"Undefended rank under attack: {base.acts:,d} ACTs / "
           f"{base.duration_ns / 1000:.0f} us")
     series = {"QPRAC": [], "QPRAC+Proactive": []}
     for n_bo in (16, 32, 64):
-        for variant, label in (
-            (MitigationVariant.QPRAC, "QPRAC"),
-            (MitigationVariant.QPRAC_PROACTIVE, "QPRAC+Proactive"),
+        for defense, label in (
+            ("qprac", "QPRAC"),
+            ("qprac+proactive", "QPRAC+Proactive"),
         ):
-            cfg = config.with_prac(n_bo=n_bo).with_variant(variant)
             run = run_bandwidth_attack(
-                cfg, defense_factory=qprac_factory(variant),
+                config.with_prac(n_bo=n_bo), defense=defense,
                 measure_ns=120_000, warmup_ns=40_000, pool_rows_per_bank=8,
             )
             series[label].append(

@@ -75,13 +75,9 @@ def demo_full_system() -> None:
     print("=" * 64)
     entries = 5000
     baseline = simulate_baseline("429.mcf", n_entries=entries)
-    for variant in (
-        MitigationVariant.QPRAC_NOOP,
-        MitigationVariant.QPRAC,
-        MitigationVariant.QPRAC_PROACTIVE_EA,
-    ):
-        run = simulate_workload("429.mcf", variant=variant, n_entries=entries)
-        print(f"  {variant.value:22s} slowdown {run.slowdown_pct_vs(baseline):6.2f}%"
+    for defense in ("qprac-noop", "qprac", "qprac+proactive-ea"):
+        run = simulate_workload("429.mcf", defense=defense, n_entries=entries)
+        print(f"  {defense:22s} slowdown {run.slowdown_pct_vs(baseline):6.2f}%"
               f"   alerts/tREFI {run.alerts_per_trefi:6.3f}")
     print("  (paper: NoOp 12.4%, QPRAC 0.8%, proactive variants ~0%)")
 

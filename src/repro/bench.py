@@ -238,16 +238,13 @@ def _measure_cell(
     clear_inert_runs()
     started = time.perf_counter()
     spec = resolve_defense(defense)
-    config = default_config()
-    if spec.variant is not None:
-        config = config.with_variant(spec.variant)
     sim = resolve_engine(engine).build()
     kwargs = {}
     if telemetry is not None and getattr(telemetry, "enabled", False):
         kwargs["telemetry"] = telemetry
     result = sim.simulate(
         lookup_workload(workload),
-        config,
+        default_config(),
         spec.factory(),
         n_entries=n_entries,
         seed=seed,

@@ -118,21 +118,20 @@ def _cmd_panopticon(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.params import MitigationVariant, default_config
-    from repro.sim import run_variant_comparison
+    from repro.params import default_config
+    from repro.sim import EVALUATED_VARIANTS, run_variant_comparison
 
     config = default_config().with_prac(n_bo=args.nbo_value, n_mit=args.n_mit,
                                         abo_delay=None)
-    variants = tuple(MitigationVariant)
     comparison = run_variant_comparison(
-        list(args.workloads), variants=variants, config=config,
+        list(args.workloads), variants=EVALUATED_VARIANTS, config=config,
         n_entries=args.entries, engine=args.engine,
     )
     print(render_table(
         f"Variant sweep (N_BO={args.nbo_value}, PRAC-{args.n_mit}, "
         f"{args.entries} accesses/core, engine={args.engine})",
         ["workload", "variant", "slowdown %", "alerts/tREFI"],
-        _comparison_rows(comparison, [v.value for v in variants]),
+        _comparison_rows(comparison, EVALUATED_VARIANTS),
     ))
     return 0
 
@@ -773,8 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workloads", nargs="*",
                    help="workload names; may be empty when --attacks "
                    "supplies the grid")
-    p.add_argument("--defenses", "--variants", nargs="+", default=None,
-                   dest="defenses", metavar="DEFENSE",
+    p.add_argument("--defenses", nargs="+", default=None,
+                   metavar="DEFENSE",
                    help="registered defenses, e.g. qprac "
                    "moat:proactive_every_n_refs=4 mithril:t_rh=256 "
                    "(default: the paper's five QPRAC variants; "
@@ -962,8 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "supplies the grid")
     p.add_argument("--url", default="http://127.0.0.1:8077",
                    help="service base URL (default http://127.0.0.1:8077)")
-    p.add_argument("--defenses", "--variants", nargs="+", default=None,
-                   dest="defenses", metavar="DEFENSE",
+    p.add_argument("--defenses", nargs="+", default=None,
+                   metavar="DEFENSE",
                    help="registered defenses (default: the paper's five "
                    "QPRAC variants)")
     p.add_argument("--attacks", nargs="+", default=None, metavar="PATTERN",

@@ -220,12 +220,14 @@ class MulticoreSystem:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, variant_name: str | None = None) -> SystemResult:
+    def run(self, variant_name: str = "custom") -> SystemResult:
         """Run all cores to completion and return aggregate results.
 
-        The loop stops exactly when the last core retires (cores report
-        completion through ``on_finish``); it never polls every core per
-        event, and never processes an event beyond the finishing one.
+        ``variant_name`` labels the result: callers pass the defense's
+        :attr:`~repro.defenses.DefenseSpec.label`.  The loop stops
+        exactly when the last core retires (cores report completion
+        through ``on_finish``); it never polls every core per event, and
+        never processes an event beyond the finishing one.
         """
         for core in self.cores:
             core.start()
@@ -233,7 +235,7 @@ class MulticoreSystem:
         sim_time = max(core.finish_time for core in self.cores)
         return SystemResult.from_stats(
             workload=self.workload_name,
-            variant=variant_name or self.cfg.variant.value,
+            variant=variant_name,
             sim_time_ns=sim_time,
             core_ipcs=[core.ipc() for core in self.cores],
             instructions=sum(core.total_instructions for core in self.cores),

@@ -16,6 +16,7 @@ new PRAC designs.
 
 from repro.defenses.registry import (
     BASELINE_NAME,
+    DEFAULT_DEFENSE,
     DefenseParam,
     DefenseRegistry,
     DefenseSpec,
@@ -31,6 +32,7 @@ import repro.defenses.builtin  # noqa: E402,F401  (registration import)
 
 __all__ = [
     "BASELINE_NAME",
+    "DEFAULT_DEFENSE",
     "DefenseParam",
     "DefenseRegistry",
     "DefenseSpec",

@@ -5,8 +5,8 @@ populates the global registry with:
 
 ================  ====================================================
 ``baseline``      non-secure PRAC baseline (timings only, no mitigation)
-``qprac-noop``..  the five QPRAC policy variants of Section V, one name
-                  per :class:`~repro.params.MitigationVariant` value
+``qprac-noop``..  the five QPRAC policy variants of Section V; the
+                  energy-aware ``qprac+proactive-ea`` is the default
 ``moat``          MOAT (ASPLOS'25), optional proactive cadence and ETH
 ``panopticon``    Panopticon (DRAMSec'21) t-bit FIFO tracker
 ``pride``         PrIDE (ISCA'24) probabilistic FIFO, tuned for a T_RH
@@ -16,7 +16,10 @@ populates the global registry with:
 
 QPRAC variants read their PRAC knobs (N_BO, PSQ size, proactive cadence)
 from the run's :class:`~repro.params.SystemConfig`, so PRAC overrides in
-a sweep shape them without any spec params.
+a sweep shape them without any spec params.  Each variant's name is the
+value of the :class:`~repro.params.MitigationVariant` its builder hands
+to :class:`~repro.core.qprac.QPRACBank`; that enum is QPRAC's internal
+policy switch, never a way to name a defense.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ Every mitigation the simulator can run is described by a
 picklable, byte-stably serializable, and resolvable to a per-bank engine
 factory through a process-wide :class:`DefenseRegistry`.  The spec is the
 unit the experiment orchestrator sweeps, caches and labels by; the
-registry is the single place a defense's construction logic lives.
+registry is the single place a defense's construction logic lives.  A
+spec and its string form (``"moat:eth=8"``) are the only two ways to
+name a defense; runs that name none use :data:`DEFAULT_DEFENSE`.
 
 Two properties are load-bearing:
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.errors import ConfigError, ReproError
-from repro.params import MitigationVariant, SystemConfig
+from repro.params import SystemConfig
 from repro.specs import (
     SpecParam,
     check_params,
@@ -63,6 +65,10 @@ DefenseBuilder = Callable[..., "BankDefense"]
 
 #: Canonical name of the paper's non-secure baseline defense.
 BASELINE_NAME = "baseline"
+
+#: The defense a simulation runs when none is named: the paper's default
+#: evaluated design, QPRAC with energy-aware proactive mitigation.
+DEFAULT_DEFENSE = "qprac+proactive-ea"
 
 
 @dataclass(frozen=True)
@@ -137,15 +143,6 @@ class DefenseSpec:
     def to_dict(self) -> dict:
         """JSON-able form; feeds cache keys, so registry-independent."""
         return {"name": self.name, "params": self.params_dict}
-
-    # -- shims ---------------------------------------------------------
-    @property
-    def variant(self) -> MitigationVariant | None:
-        """The QPRAC policy this spec names, or None for other defenses."""
-        try:
-            return MitigationVariant(self.name)
-        except ValueError:
-            return None
 
     @property
     def is_baseline(self) -> bool:
@@ -273,25 +270,22 @@ def registered_defenses() -> tuple[RegisteredDefense, ...]:
 
 
 def resolve_defense(
-    defense: "DefenseSpec | MitigationVariant | str",
+    defense: "DefenseSpec | str",
     registry: DefenseRegistry | None = None,
 ) -> DefenseSpec:
-    """Normalize any defense designator to a validated :class:`DefenseSpec`.
+    """Normalize a defense designator to a validated :class:`DefenseSpec`.
 
-    Accepts a spec, a :class:`~repro.params.MitigationVariant` (the
-    compatibility shim: each variant resolves to its registered QPRAC
-    spec), or a string in the ``name[:k=v,...]`` CLI syntax.
+    Accepts a spec or a string in the ``name[:k=v,...]`` CLI syntax —
+    the only two ways to name a defense.
     """
     if isinstance(defense, DefenseSpec):
         spec = defense
-    elif isinstance(defense, MitigationVariant):
-        spec = DefenseSpec(defense.value)
     elif isinstance(defense, str):
         spec = DefenseSpec.from_string(defense)
     else:
         raise ConfigError(
-            f"cannot resolve {defense!r} to a defense; pass a DefenseSpec, "
-            "a MitigationVariant, or a 'name:key=value' string"
+            f"cannot resolve {defense!r} to a defense; pass a DefenseSpec "
+            "or a 'name:key=value' string"
         )
     spec.validate(registry)
     return spec

@@ -31,7 +31,7 @@ from repro.exp.serialize import (
     code_version_salt,
     config_fingerprint,
 )
-from repro.params import MitigationVariant, SystemConfig, default_config
+from repro.params import SystemConfig, default_config
 from repro.sim.bandwidth import BandwidthResult, run_bandwidth_attack
 from repro.sim.engines import DEFAULT_ENGINE_SPEC, EngineSpec, resolve_engine
 
@@ -98,26 +98,22 @@ class AttackJob:
 
 
 def attack_job(
-    defense: DefenseSpec | MitigationVariant | str,
+    defense: DefenseSpec | str,
     config: SystemConfig | None = None,
     engine: EngineSpec | str | None = None,
     attack: "AttackSpec | str | None" = None,
     **params,
 ) -> AttackJob:
-    """Build an :class:`AttackJob`, applying the defense's QPRAC variant
-    to the configuration exactly as ``simulate_workload`` would.
+    """Build an :class:`AttackJob` for ``defense`` (a
+    :class:`~repro.defenses.DefenseSpec` or its string form).
 
     ``attack`` optionally names a registered pattern (validated here, so
     a typo dies before any simulation) whose row schedule replaces the
     classic strided pool.
     """
-    spec = resolve_defense(defense)
-    config = config or default_config()
-    if spec.variant is not None:
-        config = config.with_variant(spec.variant)
     return AttackJob(
-        defense=spec,
-        config=config,
+        defense=resolve_defense(defense),
+        config=config or default_config(),
         engine=resolve_engine(engine),
         attack=resolve_attack(attack) if attack is not None else None,
         **params,
@@ -139,7 +135,7 @@ def execute_attack_job(job: AttackJob) -> dict:
         )
     result = run_bandwidth_attack(
         job.config,
-        defense_factory=job.defense.factory(),
+        defense=job.defense,
         measure_ns=job.measure_ns,
         warmup_ns=job.warmup_ns,
         pool_rows_per_bank=job.pool_rows_per_bank,

@@ -9,10 +9,11 @@ simulation's output, including the simulator's own code version).
 
 Defenses are :class:`~repro.defenses.DefenseSpec` values: any registered
 mitigation — QPRAC variants, MOAT, PrIDE, Mithril, Panopticon, UPRAC or
-an externally registered plugin — sweeps through the same grid.  Plain
-strings (``"moat:proactive_every_n_refs=4"``) and
-:class:`~repro.params.MitigationVariant` members are accepted anywhere a
-spec is and normalized on construction.
+an externally registered plugin — sweeps through the same grid.  Their
+string form (``"moat:proactive_every_n_refs=4"``) is accepted anywhere a
+spec is and normalized on construction.  Every job of a grid shares the
+sweep's configuration (with its PRAC overrides applied); the defense
+never changes it.
 
 Expansion order is part of the contract: ``expand()`` returns the same
 jobs in the same order for the same spec, so aggregated sweep output is
@@ -29,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.attacks import AttackSpec, attack_workload
 from repro.defenses import BASELINE_NAME, DefenseSpec, resolve_defense
 from repro.errors import ConfigError
-from repro.params import MitigationVariant, PRACParams, SystemConfig, default_config
+from repro.params import PRACParams, SystemConfig, default_config
 from repro.sim.engines import DEFAULT_ENGINE_SPEC, EngineSpec, resolve_engine
 from repro.exp.serialize import (
     SCHEMA_VERSION,
@@ -81,22 +82,12 @@ class Job:
     defense: DefenseSpec
     #: PRAC overrides already folded into ``config`` (kept for labelling).
     overrides: Overrides
-    #: Effective configuration (overrides and QPRAC variant applied).
+    #: Effective configuration (PRAC overrides applied).
     config: SystemConfig
     n_entries: int
     seed: int
     #: Simulation engine executing this job (``event`` = the reference).
     engine: EngineSpec = DEFAULT_ENGINE_SPEC
-
-    @property
-    def variant(self) -> MitigationVariant | None:
-        """QPRAC compatibility shim: the policy this defense names, if any."""
-        return self.defense.variant
-
-    @property
-    def variant_name(self) -> str:
-        """Result/table label: the defense's canonical label."""
-        return self.defense.label
 
     @property
     def label(self) -> str:
@@ -146,9 +137,8 @@ class SweepSpec:
         Workload names (resolved against the 57-workload suite) or
         explicit :class:`WorkloadSpec` objects.
     defenses:
-        Defenses to run for every workload: :class:`DefenseSpec` values,
-        registered-defense strings (``"moat:eth=8"``) or
-        :class:`MitigationVariant` members, freely mixed.
+        Defenses to run for every workload: :class:`DefenseSpec` values
+        or their string form (``"moat:eth=8"``), freely mixed.
     attacks:
         Registered attack patterns swept alongside the workloads:
         :class:`~repro.attacks.AttackSpec` values or ``"name:k=v"``
@@ -280,13 +270,11 @@ class SweepSpec:
                         engine=self.engine,
                     ))
                 for defense in self.defenses:
-                    variant = defense.variant
-                    config = base.with_variant(variant) if variant else base
                     jobs.append(Job(
                         workload=workload,
                         defense=defense,
                         overrides=overrides,
-                        config=config,
+                        config=base,
                         n_entries=self.n_entries,
                         seed=self.job_seed(workload, defense.label),
                         engine=self.engine,
@@ -297,7 +285,7 @@ class SweepSpec:
     def build(
         cls,
         workloads: Sequence[str | WorkloadSpec],
-        defenses: Iterable[DefenseSpec | MitigationVariant | str],
+        defenses: Iterable[DefenseSpec | str],
         overrides: Sequence[Mapping[str, object]] = ({},),
         **kwargs: object,
     ) -> "SweepSpec":

@@ -304,16 +304,16 @@ class CPUConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Bundle of all configuration required to run one simulation."""
+    """Bundle of all configuration required to run one simulation.
+
+    The defense is not part of it: runs name theirs with a
+    :class:`~repro.defenses.DefenseSpec` (or its string form).
+    """
 
     prac: PRACParams = field(default_factory=PRACParams)
     timing: DDR5Timing = field(default_factory=DDR5Timing)
     org: DRAMOrganization = field(default_factory=DRAMOrganization)
     cpu: CPUConfig = field(default_factory=CPUConfig)
-    variant: MitigationVariant = MitigationVariant.QPRAC_PROACTIVE_EA
-
-    def with_variant(self, variant: MitigationVariant) -> "SystemConfig":
-        return replace(self, variant=variant)
 
     def with_prac(self, **kwargs: object) -> "SystemConfig":
         return replace(self, prac=self.prac.with_overrides(**kwargs))

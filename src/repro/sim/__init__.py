@@ -1,4 +1,10 @@
-"""Simulation façade: pluggable engines, defense factories, experiment runners."""
+"""Simulation façade: pluggable engines and experiment runners.
+
+Every entry point names its defense by a
+:class:`~repro.defenses.DefenseSpec` or its string form
+(``"qprac"``, ``"moat:eth=8"``); the default is
+:data:`~repro.defenses.DEFAULT_DEFENSE`.
+"""
 
 from repro.sim.bandwidth import (
     BandwidthResult,
@@ -14,13 +20,6 @@ from repro.sim.engines import (
     register_engine,
     registered_engines,
     resolve_engine,
-)
-from repro.sim.factory import (
-    baseline_factory,
-    factory_for_variant,
-    moat_factory,
-    panopticon_factory,
-    qprac_factory,
 )
 from repro.sim.runner import (
     DEFAULT_ENTRIES,
@@ -44,11 +43,6 @@ __all__ = [
     "register_engine",
     "registered_engines",
     "resolve_engine",
-    "baseline_factory",
-    "factory_for_variant",
-    "moat_factory",
-    "panopticon_factory",
-    "qprac_factory",
     "DEFAULT_ENTRIES",
     "EVALUATED_VARIANTS",
     "VariantComparison",

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.controller.memctrl import DefenseFactory, MemorySystem
+from repro.controller.memctrl import MemorySystem
+from repro.defenses import DEFAULT_DEFENSE, DefenseSpec, resolve_defense
 from repro.dram.address import AddressMapper
 from repro.engine import EventQueue
 from repro.errors import ConfigError
 from repro.params import RfmScope, SystemConfig, default_config
-from repro.sim.factory import baseline_factory, qprac_factory
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class BandwidthResult:
 
 def run_bandwidth_attack(
     config: SystemConfig | None = None,
-    defense_factory: DefenseFactory | None = None,
+    defense: DefenseSpec | str = DEFAULT_DEFENSE,
     measure_ns: float = 400_000.0,
     warmup_ns: float | None = None,
     pool_rows_per_bank: int = 24,
@@ -68,7 +68,8 @@ def run_bandwidth_attack(
     Each bank cycles over ``pool_rows_per_bank`` rows; a completed request
     immediately enqueues the next.  Returns activations achieved within
     the measurement window (after ``warmup_ns``, which defaults to the
-    time the pool needs to climb to N_BO plus margin).
+    time the pool needs to climb to N_BO plus margin).  ``defense`` is a
+    :class:`~repro.defenses.DefenseSpec` or its string form.
 
     ``targets`` optionally replaces the default strided pool with
     explicit per-bank address pools (e.g. from
@@ -77,7 +78,7 @@ def run_bandwidth_attack(
     estimate then.
     """
     config = config or default_config()
-    factory = defense_factory or qprac_factory()
+    factory = resolve_defense(defense).factory()
     events = EventQueue()
     memory = MemorySystem(config, events, factory)
     mapper = AddressMapper(config.org)
@@ -208,11 +209,12 @@ def bandwidth_reduction(
     baseline: BandwidthResult | None = None,
     pool_rows_per_bank: int = 24,
 ) -> tuple[float, BandwidthResult, BandwidthResult]:
-    """Convenience wrapper: (reduction, defended_run, baseline_run)."""
+    """Convenience wrapper: (reduction, defended_run, baseline_run) of
+    the default defense against the baseline."""
     if baseline is None:
         baseline = run_bandwidth_attack(
             config,
-            defense_factory=baseline_factory(),
+            defense="baseline",
             measure_ns=measure_ns,
             pool_rows_per_bank=pool_rows_per_bank,
         )

@@ -24,7 +24,7 @@ External code plugs in new engines with one decorator::
     class MyEngine(SimEngine):
         def __init__(self, *, chunk: int = 1): ...
         def simulate(self, workload, config, defense_factory,
-                     n_entries, seed, variant_name=None): ...
+                     n_entries, seed, variant_name="custom"): ...
 
     simulate_workload("429.mcf", engine="my-engine:chunk=8")
 """
@@ -80,10 +80,14 @@ class SimEngine:
         defense_factory: "DefenseFactory",
         n_entries: int,
         seed: int = 0,
-        variant_name: str | None = None,
+        variant_name: str = "custom",
         telemetry=None,
     ) -> "SystemResult":
         """Run one fully-resolved simulation job to completion.
+
+        ``variant_name`` is the result's label, the
+        :attr:`~repro.defenses.DefenseSpec.label` of the defense whose
+        ``factory()`` is ``defense_factory``.
 
         ``telemetry`` is an optional :class:`~repro.obs.Telemetry`
         recorder.  Engines MUST produce byte-identical results with it

@@ -211,7 +211,7 @@ class EpochEngine(SimEngine):
         defense_factory: DefenseFactory,
         n_entries: int,
         seed: int = 0,
-        variant_name: str | None = None,
+        variant_name: str = "custom",
         telemetry=None,
     ) -> SystemResult:
         tm = active_telemetry(telemetry)
@@ -269,7 +269,7 @@ class EpochEngine(SimEngine):
         ]
         result = SystemResult.from_stats(
             workload=workload.name,
-            variant=variant_name or config.variant.value,
+            variant=variant_name,
             sim_time_ns=sim_time,
             core_ipcs=core_ipcs,
             instructions=sum(c.total_instructions for c in cores),

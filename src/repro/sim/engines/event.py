@@ -16,11 +16,11 @@ also never have asked for either.  Inert runs are kept, with the
 ordered defense-hook log the controller records
 (:attr:`~repro.controller.memctrl.MemorySystem.hook_log`), in a bounded
 in-process LRU keyed by everything the controller and cores read —
-workload spec, entries, seed and the configuration with its ``variant``
-normalised (``variant`` is read only by the defense factory and the
-result label).  A later job with the same key builds its own defenses
-and replays the log through them: ``on_activation(row)`` per ACT,
-``on_ref()`` per bank of the refreshed rank, in the recorded order.
+workload spec, entries, seed and the configuration (which names no
+defense, so jobs of every defense share a key).  A later job with the
+same key builds its own defenses and replays the log through them:
+``on_activation(row)`` per ACT, ``on_ref()`` per bank of the refreshed
+rank, in the recorded order.
 
 The replay is exact.  Until a defense first answers ``True`` from
 ``on_activation``, every hook the controller calls returns what it
@@ -47,7 +47,7 @@ from repro.controller.memctrl import DefenseFactory
 from repro.core.defense import BankDefense, mitigation_totals
 from repro.cpu.system import MulticoreSystem, SystemResult
 from repro.obs.telemetry import active_telemetry
-from repro.params import MitigationVariant, SystemConfig
+from repro.params import SystemConfig
 from repro.sim.engines.base import SimEngine, register_engine
 from repro.workloads.synthetic import WorkloadSpec, generate_trace
 
@@ -164,13 +164,12 @@ class EventEngine(SimEngine):
         defense_factory: DefenseFactory,
         n_entries: int,
         seed: int = 0,
-        variant_name: str | None = None,
+        variant_name: str = "custom",
         telemetry=None,
     ) -> SystemResult:
         key = None
         if active_telemetry(telemetry) is None:
-            key = (workload, n_entries, seed,
-                   config.with_variant(MitigationVariant.QPRAC))
+            key = (workload, n_entries, seed, config)
             served = self._serve_inert(key, config, defense_factory,
                                        variant_name)
             if served is not None:
@@ -200,7 +199,7 @@ class EventEngine(SimEngine):
         key: tuple,
         config: SystemConfig,
         defense_factory: DefenseFactory,
-        variant_name: str | None,
+        variant_name: str,
     ) -> SystemResult | None:
         """The job's result by replay of a stored inert run, or ``None``."""
         with _inert_lock:
@@ -217,7 +216,7 @@ class EventEngine(SimEngine):
             return None
         return replace(
             stored,
-            variant=variant_name or config.variant.value,
+            variant=variant_name,
             core_ipcs=list(stored.core_ipcs),
             mitigations=mitigation_totals(defenses),
         )

@@ -8,10 +8,11 @@ This is the API the benchmarks and examples use::
     result = simulate_workload("429.mcf", defense="moat:proactive_every_n_refs=4")
     table = run_variant_comparison(["429.mcf", "470.lbm"], n_entries=20_000)
 
-Any defense is selected by a :class:`~repro.defenses.DefenseSpec` (or its
-string / :class:`~repro.params.MitigationVariant` shorthand), resolved
-against the defense registry; results carry the resolved spec's label, so
-distinct defenses are never conflated in tables or cache rows.
+Every defense is named by a :class:`~repro.defenses.DefenseSpec` or its
+string form, resolved against the defense registry; runs that name none
+use :data:`~repro.defenses.DEFAULT_DEFENSE`.  Results carry the resolved
+spec's label, so distinct defenses are never conflated in tables or
+cache rows.
 
 Execution is equally pluggable: ``engine=`` selects a registered
 :class:`~repro.sim.engines.SimEngine` by
@@ -27,13 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.controller.memctrl import DefenseFactory
 from repro.cpu.system import MulticoreSystem, SystemResult
-from repro.defenses import DefenseSpec, resolve_defense
+from repro.defenses import DEFAULT_DEFENSE, DefenseSpec, resolve_defense
 from repro.errors import ConfigError
-from repro.params import MitigationVariant, SystemConfig, default_config
+from repro.params import SystemConfig, default_config
 from repro.sim.engines import EngineSpec, build_event_system, resolve_engine
-from repro.sim.factory import qprac_factory
 from repro.workloads.suites import workload as lookup_workload
 from repro.workloads.synthetic import WorkloadSpec
 
@@ -42,12 +41,12 @@ from repro.workloads.synthetic import WorkloadSpec
 DEFAULT_ENTRIES = 20_000
 
 #: The five evaluated designs of Section V, in the paper's order.
-EVALUATED_VARIANTS: tuple[MitigationVariant, ...] = (
-    MitigationVariant.QPRAC_NOOP,
-    MitigationVariant.QPRAC,
-    MitigationVariant.QPRAC_PROACTIVE,
-    MitigationVariant.QPRAC_PROACTIVE_EA,
-    MitigationVariant.QPRAC_IDEAL,
+EVALUATED_VARIANTS: tuple[str, ...] = (
+    "qprac-noop",
+    "qprac",
+    "qprac+proactive",
+    "qprac+proactive-ea",
+    "qprac-ideal",
 )
 
 
@@ -76,7 +75,7 @@ def _resolve_workload_or_attack(workload, attack) -> WorkloadSpec:
 def build_system(
     workload: str | WorkloadSpec,
     config: SystemConfig | None = None,
-    defense_factory: DefenseFactory | None = None,
+    defense: DefenseSpec | str = DEFAULT_DEFENSE,
     n_entries: int = DEFAULT_ENTRIES,
     seed: int = 0,
     telemetry=None,
@@ -85,22 +84,20 @@ def build_system(
 
     This is inherently an ``event``-engine helper — the handle it
     returns *is* the event-driven system; batched engines have no
-    equivalent object.  Kept public for the bench harness and tests.
+    equivalent object.  Kept public for the bench harness and tests;
+    label its result with ``system.run(variant_name=spec.label)``.
     """
-    config = config or default_config()
-    spec = _resolve_spec(workload)
-    factory = defense_factory or qprac_factory()
+    factory = resolve_defense(defense).factory()
     return build_event_system(
-        spec, config, factory, n_entries, seed, telemetry=telemetry
+        _resolve_spec(workload), config or default_config(), factory,
+        n_entries, seed, telemetry=telemetry,
     )
 
 
 def simulate_workload(
     workload: str | WorkloadSpec | None = None,
     config: SystemConfig | None = None,
-    defense: DefenseSpec | MitigationVariant | str | None = None,
-    variant: MitigationVariant | None = None,
-    defense_factory: DefenseFactory | None = None,
+    defense: DefenseSpec | str = DEFAULT_DEFENSE,
     n_entries: int = DEFAULT_ENTRIES,
     seed: int = 0,
     engine: EngineSpec | str | None = None,
@@ -110,12 +107,9 @@ def simulate_workload(
     """Simulate one workload — or one attack pattern — under one defense.
 
     ``defense`` selects any registered defense — a
-    :class:`~repro.defenses.DefenseSpec`, a ``"name:key=value"`` string,
-    or a :class:`MitigationVariant` (shim for the QPRAC policies).
-    ``variant`` remains as a QPRAC-only alias, and ``defense_factory``
-    accepts a raw per-bank factory for unregistered designs; results from
-    registry-built factories are still labeled with their spec's name
-    (``"custom"`` only when the factory is truly anonymous).
+    :class:`~repro.defenses.DefenseSpec` or its ``"name:key=value"``
+    string form — and labels the result.  Unregistered designs plug in
+    through :func:`~repro.defenses.register_defense`.
 
     ``attack`` names a registered attack pattern (an
     :class:`~repro.attacks.AttackSpec` or ``"name:k=v"`` string) to run
@@ -133,42 +127,18 @@ def simulate_workload(
     enabled, so externally registered engines that predate the seam
     keep working untouched.
     """
-    config = config or default_config()
-    selectors = (defense, variant, defense_factory)
-    if sum(s is not None for s in selectors) > 1:
-        raise ConfigError(
-            "pass only one of defense=, variant= or defense_factory="
-        )
-    spec: DefenseSpec | None = None
-    if defense is not None:
-        spec = resolve_defense(defense)
-    elif variant is not None:
-        spec = resolve_defense(variant)
-    elif defense_factory is not None:
-        spec = getattr(defense_factory, "spec", None)
-
-    if spec is not None and spec.variant is not None:
-        config = config.with_variant(spec.variant)
-    factory = defense_factory if defense_factory is not None else (
-        spec.factory() if spec is not None else qprac_factory()
-    )
-    if spec is not None:
-        name = spec.label
-    elif defense_factory is not None:
-        name = "custom"
-    else:
-        name = None  # default QPRAC factory: label by config.variant
+    spec = resolve_defense(defense)
     sim = resolve_engine(engine).build()
     kwargs = {}
     if telemetry is not None and getattr(telemetry, "enabled", False):
         kwargs["telemetry"] = telemetry
     return sim.simulate(
         _resolve_workload_or_attack(workload, attack),
-        config,
-        factory,
+        config or default_config(),
+        spec.factory(),
         n_entries=n_entries,
         seed=seed,
-        variant_name=name,
+        variant_name=spec.label,
         **kwargs,
     )
 
@@ -225,7 +195,7 @@ class VariantComparison:
 
 def run_variant_comparison(
     workloads: list[str | WorkloadSpec],
-    variants: tuple[MitigationVariant | DefenseSpec | str, ...] = EVALUATED_VARIANTS,
+    variants: tuple[DefenseSpec | str, ...] = EVALUATED_VARIANTS,
     config: SystemConfig | None = None,
     n_entries: int = DEFAULT_ENTRIES,
     seed: int = 0,

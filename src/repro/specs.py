@@ -112,6 +112,10 @@ def parse_name_params(text: str, kind: str) -> tuple[str, dict]:
                     f"malformed {kind} parameter {item!r} in {text!r}; "
                     "expected key=value"
                 )
+            if key in params:
+                raise ConfigError(
+                    f"duplicate {kind} parameter {key!r} in {text!r}"
+                )
             params[key] = parse_value(raw.strip())
     return name, params
 

@@ -71,11 +71,15 @@ class TestParser:
         assert args.seed == 3
         assert args.quiet and not args.no_cache
 
-    def test_sweep_variants_alias_still_accepted(self):
-        args = build_parser().parse_args(
-            ["sweep", "429.mcf", "--variants", "qprac"]
-        )
-        assert args.defenses == ["qprac"]
+    @pytest.mark.parametrize("command", ["sweep", "submit"])
+    def test_variants_alias_rejected(self, command, capsys):
+        """``--defenses`` is the one flag naming a defense."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [command, "429.mcf", "--variants", "qprac"]
+            )
+        assert exc.value.code == 2
+        assert "--variants" in capsys.readouterr().err
 
     def test_sweep_rejects_unknown_defense(self, capsys):
         # Defense resolution happens at run time (names are an open

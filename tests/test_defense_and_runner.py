@@ -14,16 +14,12 @@ from repro.core.defense import (
 from repro.core.prac_counters import PRACCounterBank
 from repro.core.psq import PriorityServiceQueue
 from repro.errors import ConfigError, ReproError
-from repro.params import MitigationVariant, RfmScope, default_config
+from repro.defenses import DefenseSpec, registered_defenses
+from repro.params import RfmScope, default_config
 from repro.sim import (
     EVALUATED_VARIANTS,
     analytical_bandwidth_reduction,
-    baseline_factory,
     build_system,
-    factory_for_variant,
-    moat_factory,
-    panopticon_factory,
-    qprac_factory,
 )
 from repro.sim.bandwidth import BandwidthResult
 
@@ -82,31 +78,23 @@ class TestApplyMitigation:
 
 class TestFactories:
     def test_each_factory_builds_independent_banks(self):
+        """Every registered defense, required params at the figures'
+        operating point (t_rh=256); each QPRAC variant's banks run its
+        own policy."""
         cfg = default_config()
-        for factory in (
-            baseline_factory(),
-            qprac_factory(),
-            moat_factory(),
-            panopticon_factory(),
-        ):
+        for entry in registered_defenses():
+            required = {p.name: 256 for p in entry.params if p.required}
+            factory = DefenseSpec.of(entry.name, **required).factory()
             a = factory(0, cfg)
             b = factory(1, cfg)
-            assert a is not b
-
-    def test_factory_for_variant(self):
-        cfg = default_config()
-        bank = factory_for_variant(MitigationVariant.QPRAC_IDEAL)(0, cfg)
-        assert bank.variant is MitigationVariant.QPRAC_IDEAL
-
-    def test_qprac_factory_follows_config_variant(self):
-        cfg = default_config().with_variant(MitigationVariant.QPRAC_NOOP)
-        bank = qprac_factory()(0, cfg)
-        assert bank.variant is MitigationVariant.QPRAC_NOOP
+            assert a is not b, entry.name
+            if entry.name in EVALUATED_VARIANTS:
+                assert a.variant.value == entry.name
 
 
 class TestRunnerFacade:
     def test_evaluated_variants_order_matches_paper(self):
-        assert [v.value for v in EVALUATED_VARIANTS] == [
+        assert list(EVALUATED_VARIANTS) == [
             "qprac-noop",
             "qprac",
             "qprac+proactive",
@@ -176,20 +164,18 @@ class TestSystemGuards:
             for _ in range(cfg.cpu.cores + 1)
         ]
         with pytest.raises(ConfigError):
-            MulticoreSystem(cfg, traces, baseline_factory())
+            MulticoreSystem(cfg, traces, DefenseSpec("baseline").factory())
 
     def test_no_traces_rejected(self):
         from repro.cpu.system import MulticoreSystem
 
         with pytest.raises(ConfigError):
-            MulticoreSystem(default_config(), [], baseline_factory())
+            MulticoreSystem(
+                default_config(), [], DefenseSpec("baseline").factory()
+            )
 
     def test_rerun_guard(self):
-        system = build_system(
-            "541.leela",
-            defense_factory=baseline_factory(),
-            n_entries=50,
-        )
+        system = build_system("541.leela", defense="baseline", n_entries=50)
         system.run()
         # The event queue still holds REF events, but cores are done; a
         # second run returns immediately rather than double counting.

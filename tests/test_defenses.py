@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from repro.attacks import resolve_attack
 from repro.core.moat import MOATBank
 from repro.core.null_defense import NullDefense
 from repro.core.qprac import QPRACBank
@@ -24,6 +25,8 @@ from repro.exp import canonical_json
 from repro.mitigations.mithril import MithrilBank
 from repro.mitigations.pride import PrIDEBank
 from repro.params import MitigationVariant, default_config
+from repro.sim import EVALUATED_VARIANTS
+from repro.sim.engines import resolve_engine
 
 
 class TestSpecIdentity:
@@ -124,7 +127,7 @@ class TestRegistry:
     def test_builtins_registered(self):
         names = {e.name for e in registered_defenses()}
         expected = {BASELINE_NAME, "moat", "panopticon", "pride", "mithril",
-                    "uprac"} | {v.value for v in MitigationVariant}
+                    "uprac"} | set(EVALUATED_VARIANTS)
         assert expected <= names
 
     def test_duplicate_name_rejected(self):
@@ -178,10 +181,11 @@ class TestRegistry:
 
 
 class TestResolution:
-    def test_resolves_variant_shim(self):
-        spec = resolve_defense(MitigationVariant.QPRAC_PROACTIVE)
-        assert spec == DefenseSpec("qprac+proactive")
-        assert spec.variant is MitigationVariant.QPRAC_PROACTIVE
+    def test_rejects_variant_enum(self):
+        """A QPRAC policy enum is not a defense name; the error points
+        at its string form."""
+        with pytest.raises(ConfigError, match="'qprac'"):
+            resolve_defense(MitigationVariant.QPRAC)  # type: ignore[arg-type]
 
     def test_resolves_spec_and_string(self):
         spec = DefenseSpec.of("mithril", t_rh=64)
@@ -246,33 +250,25 @@ class TestResultLabeling:
         assert run.variant == "mithril:t_rh=512"
 
     def test_registry_factories_are_not_labeled_custom(self):
-        """The old bug: factory-based runs were conflated as "custom"."""
-        from repro.sim import moat_factory, simulate_workload
+        """The old bug: factory-based runs were conflated as "custom".
+        Every QPRAC variant's run carries its registry name."""
+        from repro.sim import simulate_workload
 
-        run = simulate_workload(
-            "541.leela",
-            defense_factory=moat_factory(proactive_every_n_refs=4),
-            n_entries=200,
-        )
-        assert run.variant == "moat:proactive_every_n_refs=4"
+        for name in EVALUATED_VARIANTS:
+            run = simulate_workload("541.leela", defense=name, n_entries=200)
+            assert run.variant == name
 
     def test_anonymous_factory_still_labeled_custom(self):
-        from repro.sim import simulate_workload
+        """An unregistered per-bank factory handed straight to an engine
+        is labelled ``custom``."""
+        from repro.sim.engines.event import EventEngine
+        from repro.workloads.suites import workload
 
-        run = simulate_workload(
-            "541.leela",
-            defense_factory=lambda bank, config: NullDefense(),
-            n_entries=200,
+        run = EventEngine().simulate(
+            workload("541.leela"), default_config(),
+            lambda bank, config: NullDefense(), n_entries=200,
         )
         assert run.variant == "custom"
-
-    def test_variant_alias_still_works(self):
-        from repro.sim import simulate_workload
-
-        run = simulate_workload(
-            "541.leela", variant=MitigationVariant.QPRAC_NOOP, n_entries=200
-        )
-        assert run.variant == "qprac-noop"
 
     def test_baseline_label(self):
         from repro.sim import simulate_baseline
@@ -280,16 +276,15 @@ class TestResultLabeling:
         run = simulate_baseline("541.leela", n_entries=200)
         assert run.variant == "baseline"
 
-    def test_conflicting_selectors_rejected(self):
-        from repro.sim import baseline_factory, simulate_workload
 
-        with pytest.raises(ConfigError, match="only one of"):
-            simulate_workload(
-                "541.leela", defense="moat",
-                variant=MitigationVariant.QPRAC, n_entries=100,
-            )
-        with pytest.raises(ConfigError, match="only one of"):
-            simulate_workload(
-                "541.leela", defense="moat",
-                defense_factory=baseline_factory(), n_entries=100,
-            )
+
+@pytest.mark.parametrize("resolve,text,key", [
+    (resolve_defense, "moat:eth=8,eth=9", "eth"),
+    (resolve_engine, "epoch:trefi_chunk=2,trefi_chunk=4", "trefi_chunk"),
+    (resolve_attack, "hammer:banks=2,banks=4", "banks"),
+], ids=["defense", "engine", "attack"])
+def test_repeated_param_key_rejected(resolve, text, key):
+    """The shared ``name:k=v`` grammar refuses a repeated key rather than
+    silently keeping the last value."""
+    with pytest.raises(ConfigError, match=f"duplicate .*'{key}'"):
+        resolve(text)

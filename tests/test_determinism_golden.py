@@ -125,14 +125,20 @@ def test_simulate_workload_matches_pre_refactor_golden(
 
 
 @needs_golden_env
-@pytest.mark.parametrize("defense", sorted(GOLDEN_DEFENSE_HASHES))
+@pytest.mark.parametrize(
+    "defense",
+    sorted(GOLDEN_DEFENSE_HASHES) + [pytest.param(None, id="default")],
+)
 def test_every_registered_defense_matches_golden(defense):
     """Every defense family — not just QPRAC — is pinned byte-for-byte,
-    so future hot-path work can't silently perturb a non-QPRAC variant."""
-    result = simulate_workload(
-        "429.mcf", defense=defense, n_entries=2000, seed=0
-    )
-    assert result_digest(result) == GOLDEN_DEFENSE_HASHES[defense]
+    so future hot-path work can't silently perturb a non-QPRAC variant.
+    ``None`` names no defense: the run is the default design's, label
+    included."""
+    kwargs = {} if defense is None else {"defense": defense}
+    result = simulate_workload("429.mcf", n_entries=2000, seed=0, **kwargs)
+    expected = defense or "qprac+proactive-ea"
+    assert result.variant == expected
+    assert result_digest(result) == GOLDEN_DEFENSE_HASHES[expected]
 
 
 def test_golden_table_covers_every_registered_defense():
@@ -449,11 +455,13 @@ def test_inline_enqueue_decode_matches_mapper(monkeypatch):
     from repro.params import DRAMOrganization
     from repro.controller.memctrl import MemorySystem
     from repro.engine import EventQueue
+    from repro.defenses import DefenseSpec
     from repro.params import default_config
-    from repro.sim.factory import baseline_factory
 
     config = default_config()
-    system = MemorySystem(config, EventQueue(), baseline_factory())
+    system = MemorySystem(
+        config, EventQueue(), DefenseSpec("baseline").factory()
+    )
     mapper = AddressMapper(config.org)
     rng = random.Random(7)
     max_addr = 1 << mapper.address_bits

@@ -14,7 +14,6 @@ from repro.exp import (
     result_to_dict,
     run_sweep,
 )
-from repro.params import MitigationVariant
 from repro.sim import run_variant_comparison, simulate_workload
 
 ENTRIES = 400
@@ -23,7 +22,7 @@ ENTRIES = 400
 def tiny_spec(**kwargs):
     defaults = dict(
         workloads=("541.leela", "mb-adpcm"),
-        variants=(MitigationVariant.QPRAC,),
+        variants=("qprac",),
         n_entries=ENTRIES,
     )
     defaults.update(kwargs)
@@ -56,7 +55,7 @@ class TestSerialRun:
             jobs=1,
         )
         direct = simulate_workload(
-            "541.leela", variant=MitigationVariant.QPRAC, n_entries=ENTRIES
+            "541.leela", defense="qprac", n_entries=ENTRIES
         )
         assert result_to_dict(sweep.outcomes[0].result) == result_to_dict(direct)
 
@@ -167,7 +166,7 @@ class TestMixedDefenseGrids:
 class TestParallelDeterminism:
     def test_jobs4_matches_jobs1_byte_identical(self):
         spec = tiny_spec(
-            variants=(MitigationVariant.QPRAC, MitigationVariant.QPRAC_NOOP)
+            variants=("qprac", "qprac-noop")
         )
         serial = run_sweep(spec, jobs=1)
         parallel = run_sweep(spec, jobs=4)
@@ -220,11 +219,11 @@ class TestAggregation:
     def test_run_variant_comparison_routes_through_orchestrator(self, tmp_path):
         store = ResultStore(tmp_path)
         first = run_variant_comparison(
-            ["541.leela"], variants=(MitigationVariant.QPRAC,),
+            ["541.leela"], variants=("qprac",),
             n_entries=ENTRIES, store=store,
         )
         again = run_variant_comparison(
-            ["541.leela"], variants=(MitigationVariant.QPRAC,),
+            ["541.leela"], variants=("qprac",),
             n_entries=ENTRIES, jobs=2, store=store,
         )
         assert store.hits >= 2  # second call served entirely from cache
@@ -241,7 +240,7 @@ class TestAggregation:
 
     def test_result_roundtrip_is_lossless(self):
         direct = simulate_workload(
-            "mb-adpcm", variant=MitigationVariant.QPRAC, n_entries=ENTRIES
+            "mb-adpcm", defense="qprac", n_entries=ENTRIES
         )
         restored = result_from_dict(
             json.loads(json.dumps(result_to_dict(direct)))

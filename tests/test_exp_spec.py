@@ -13,7 +13,7 @@ from repro.params import MitigationVariant, default_config
 def make_spec(**kwargs):
     defaults = dict(
         workloads=("541.leela", "429.mcf"),
-        variants=(MitigationVariant.QPRAC, MitigationVariant.QPRAC_NOOP),
+        variants=("qprac", "qprac-noop"),
         n_entries=500,
     )
     defaults.update(kwargs)
@@ -43,13 +43,13 @@ class TestExpansion:
 
     def test_no_baseline(self):
         jobs = make_spec(include_baseline=False).expand()
-        assert all(j.variant is not None for j in jobs)
+        assert not any(j.defense.is_baseline for j in jobs)
         assert len(jobs) == 4
 
     def test_overrides_axis(self):
         spec = make_spec(
             workloads=("541.leela",),
-            variants=(MitigationVariant.QPRAC,),
+            variants=("qprac",),
             overrides=({"psq_size": 1}, {"psq_size": 3}),
             include_baseline=False,
         )
@@ -62,31 +62,38 @@ class TestExpansion:
     def test_baseline_emitted_once_across_override_sets(self):
         spec = make_spec(
             workloads=("541.leela",),
-            variants=(MitigationVariant.QPRAC,),
+            variants=("qprac",),
             overrides=({"psq_size": 1}, {"psq_size": 3}),
         )
         jobs = spec.expand()
         # Overrides only alter the defense: 1 shared baseline + 2 variants.
         assert len(jobs) == 3
-        assert sum(1 for j in jobs if j.variant is None) == 1
+        assert sum(1 for j in jobs if j.defense.is_baseline) == 1
 
-    def test_variant_applied_to_config(self):
-        jobs = make_spec().expand()
-        assert jobs[0].variant is None
+    def test_defense_leaves_config_unchanged(self):
+        """Every job of a grid runs the sweep's own configuration; only
+        its defense tells a QPRAC variant from the baseline."""
+        spec = make_spec()
+        jobs = spec.expand()
         assert jobs[0].defense.is_baseline
-        assert jobs[0].variant_name == BASELINE
-        assert jobs[1].config.variant is MitigationVariant.QPRAC
-        assert jobs[1].variant is MitigationVariant.QPRAC
+        assert jobs[0].defense.label == BASELINE
+        assert jobs[1].defense == DefenseSpec("qprac")
+        assert all(j.config == spec.config for j in jobs)
 
     def test_string_defenses_resolved(self):
         spec = SweepSpec.build(["541.leela"], ["qprac"], n_entries=100)
         assert spec.defenses == (DefenseSpec("qprac"),)
-        assert spec.defenses[0].variant is MitigationVariant.QPRAC
+
+    def test_variant_enum_rejected(self):
+        """A QPRAC policy enum is not a defense name; the error points
+        at its string form."""
+        with pytest.raises(ConfigError, match="'qprac'"):
+            SweepSpec.build(["541.leela"], [MitigationVariant.QPRAC])
 
     def test_mixed_defense_grid(self):
         spec = SweepSpec.build(
             ["541.leela"],
-            [MitigationVariant.QPRAC, "moat", DefenseSpec.of("pride", t_rh=256)],
+            ["qprac", "moat", DefenseSpec.of("pride", t_rh=256)],
             n_entries=100,
         )
         jobs = spec.expand()
@@ -96,13 +103,10 @@ class TestExpansion:
             "541.leela/moat",
             "541.leela/pride:t_rh=256",
         ]
-        # Non-QPRAC defenses leave the config's variant untouched.
-        assert jobs[2].variant is None
-        assert jobs[2].config.variant is spec.config.variant
 
     def test_duplicate_defenses_rejected(self):
         with pytest.raises(ConfigError, match="duplicate defenses"):
-            make_spec(variants=("qprac", MitigationVariant.QPRAC))
+            make_spec(variants=("qprac", DefenseSpec("qprac")))
 
     def test_baseline_in_defenses_conflicts_with_include_baseline(self):
         with pytest.raises(ConfigError, match="already included"):
@@ -126,7 +130,7 @@ class TestExpansion:
 
     def test_empty_workloads_rejected(self):
         with pytest.raises(ConfigError):
-            SweepSpec.build([], [MitigationVariant.QPRAC])
+            SweepSpec.build([], ["qprac"])
 
     def test_duplicate_workloads_rejected(self):
         with pytest.raises(ConfigError, match="duplicate workloads"):
@@ -152,11 +156,11 @@ class TestCacheKey:
 
     def test_key_changes_with_overrides(self):
         plain = make_spec(
-            include_baseline=False, variants=(MitigationVariant.QPRAC,),
+            include_baseline=False, variants=("qprac",),
             workloads=("541.leela",),
         ).expand()[0]
         overridden = make_spec(
-            include_baseline=False, variants=(MitigationVariant.QPRAC,),
+            include_baseline=False, variants=("qprac",),
             workloads=("541.leela",), overrides=({"psq_size": 2},),
         ).expand()[0]
         assert plain.cache_key() != overridden.cache_key()

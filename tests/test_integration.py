@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.params import MitigationVariant, default_config
+from repro.params import default_config
 from repro.sim import (
-    baseline_factory,
-    moat_factory,
-    qprac_factory,
+    EVALUATED_VARIANTS,
     run_bandwidth_attack,
     simulate_baseline,
     simulate_workload,
@@ -42,15 +40,9 @@ def hot_baseline():
 @pytest.fixture(scope="module")
 def hot_runs(hot_baseline):
     runs = {}
-    for variant in (
-        MitigationVariant.QPRAC_NOOP,
-        MitigationVariant.QPRAC,
-        MitigationVariant.QPRAC_PROACTIVE,
-        MitigationVariant.QPRAC_PROACTIVE_EA,
-        MitigationVariant.QPRAC_IDEAL,
-    ):
+    for variant in EVALUATED_VARIANTS:
         runs[variant] = simulate_workload(
-            HOT, variant=variant, n_entries=ENTRIES
+            HOT, defense=variant, n_entries=ENTRIES
         )
     return runs
 
@@ -60,26 +52,26 @@ class TestFigure14Ordering:
         assert all(0.01 < ipc <= 4.0 for ipc in hot_baseline.core_ipcs)
 
     def test_noop_is_the_worst_variant(self, hot_baseline, hot_runs):
-        noop = hot_runs[MitigationVariant.QPRAC_NOOP]
-        qprac = hot_runs[MitigationVariant.QPRAC]
+        noop = hot_runs["qprac-noop"]
+        qprac = hot_runs["qprac"]
         assert noop.slowdown_pct_vs(hot_baseline) > qprac.slowdown_pct_vs(
             hot_baseline
         )
 
     def test_noop_slowdown_is_substantial(self, hot_baseline, hot_runs):
         """Paper: 12.4% average, >20% for memory-intensive workloads."""
-        noop = hot_runs[MitigationVariant.QPRAC_NOOP]
+        noop = hot_runs["qprac-noop"]
         assert noop.slowdown_pct_vs(hot_baseline) > 4.0
 
     def test_qprac_overhead_small(self, hot_baseline, hot_runs):
-        qprac = hot_runs[MitigationVariant.QPRAC]
+        qprac = hot_runs["qprac"]
         assert qprac.slowdown_pct_vs(hot_baseline) < 3.0
 
     def test_proactive_variants_near_zero(self, hot_baseline, hot_runs):
         for variant in (
-            MitigationVariant.QPRAC_PROACTIVE,
-            MitigationVariant.QPRAC_PROACTIVE_EA,
-            MitigationVariant.QPRAC_IDEAL,
+            "qprac+proactive",
+            "qprac+proactive-ea",
+            "qprac-ideal",
         ):
             slowdown = hot_runs[variant].slowdown_pct_vs(hot_baseline)
             assert slowdown < 1.0
@@ -90,22 +82,22 @@ class TestFigure14Ordering:
 
 class TestFigure15Ordering:
     def test_opportunistic_mitigation_slashes_alerts(self, hot_runs):
-        noop = hot_runs[MitigationVariant.QPRAC_NOOP]
-        qprac = hot_runs[MitigationVariant.QPRAC]
+        noop = hot_runs["qprac-noop"]
+        qprac = hot_runs["qprac"]
         assert noop.alerts_per_trefi > 4 * qprac.alerts_per_trefi
 
     def test_proactive_eliminates_alerts(self, hot_runs):
-        pro = hot_runs[MitigationVariant.QPRAC_PROACTIVE]
+        pro = hot_runs["qprac+proactive"]
         assert pro.alerts_per_trefi == pytest.approx(0.0, abs=0.02)
 
     def test_mitigation_reasons_match_variants(self, hot_runs):
         from repro.core.defense import MitigationReason
 
-        noop = hot_runs[MitigationVariant.QPRAC_NOOP]
+        noop = hot_runs["qprac-noop"]
         assert noop.mitigations[MitigationReason.PROACTIVE] == 0
-        pro = hot_runs[MitigationVariant.QPRAC_PROACTIVE]
+        pro = hot_runs["qprac+proactive"]
         assert pro.mitigations[MitigationReason.PROACTIVE] > 0
-        ea = hot_runs[MitigationVariant.QPRAC_PROACTIVE_EA]
+        ea = hot_runs["qprac+proactive-ea"]
         assert (
             0
             < ea.mitigations[MitigationReason.PROACTIVE]
@@ -123,7 +115,7 @@ class TestNboSensitivity:
             runs[n_bo] = simulate_workload(
                 HOT,
                 config=cfg,
-                variant=MitigationVariant.QPRAC,
+                defense="qprac",
                 n_entries=ENTRIES,
             )
         assert runs[16].alerts_per_trefi >= runs[64].alerts_per_trefi
@@ -132,7 +124,7 @@ class TestNboSensitivity:
 class TestMOATComparison:
     def test_moat_completes_and_mitigates(self, hot_baseline):
         run = simulate_workload(
-            HOT, defense_factory=moat_factory(), n_entries=ENTRIES
+            HOT, defense="moat", n_entries=ENTRIES
         )
         assert sum(run.mitigations.values()) > 0
         assert run.slowdown_pct_vs(hot_baseline) < 20.0
@@ -142,13 +134,10 @@ class TestMOATComparison:
         at low N_BO."""
         cfg = default_config().with_prac(n_bo=16)
         moat = simulate_workload(
-            HOT, config=cfg, defense_factory=moat_factory(), n_entries=ENTRIES
+            HOT, config=cfg, defense="moat", n_entries=ENTRIES
         )
         qprac = simulate_workload(
-            HOT,
-            config=cfg,
-            defense_factory=qprac_factory(MitigationVariant.QPRAC),
-            n_entries=ENTRIES,
+            HOT, config=cfg, defense="qprac", n_entries=ENTRIES
         )
         assert qprac.alerts <= moat.alerts * 1.1
 
@@ -158,14 +147,14 @@ class TestBandwidthAttack:
         cfg = default_config().with_prac(n_bo=16)
         base = run_bandwidth_attack(
             cfg,
-            defense_factory=baseline_factory(),
+            defense="baseline",
             measure_ns=100_000,
             warmup_ns=30_000,
             pool_rows_per_bank=8,
         )
         defended = run_bandwidth_attack(
-            cfg.with_variant(MitigationVariant.QPRAC),
-            defense_factory=qprac_factory(MitigationVariant.QPRAC),
+            cfg,
+            defense="qprac",
             measure_ns=100_000,
             warmup_ns=30_000,
             pool_rows_per_bank=8,
@@ -190,8 +179,8 @@ class TestBandwidthAttack:
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
-        a = simulate_workload(HOT, variant=MitigationVariant.QPRAC, n_entries=2000)
-        b = simulate_workload(HOT, variant=MitigationVariant.QPRAC, n_entries=2000)
+        a = simulate_workload(HOT, defense="qprac", n_entries=2000)
+        b = simulate_workload(HOT, defense="qprac", n_entries=2000)
         assert a.sim_time_ns == b.sim_time_ns
         assert a.acts == b.acts
         assert a.alerts == b.alerts

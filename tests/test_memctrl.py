@@ -7,15 +7,14 @@ import pytest
 from repro.controller.memctrl import MemorySystem
 from repro.core.defense import BankDefense
 from repro.core.null_defense import NullDefense
+from repro.defenses import DefenseSpec
 from repro.engine import EventQueue
 from repro.params import (
     DRAMOrganization,
-    MitigationVariant,
     PRACParams,
     RfmScope,
     SystemConfig,
 )
-from repro.sim.factory import qprac_factory
 
 
 def null_factory(_index, _config) -> BankDefense:
@@ -150,10 +149,10 @@ class TestRefresh:
                 channels=1, ranks=1, bankgroups=2, banks_per_group=2,
                 rows_per_bank=1024,
             ),
-            variant=MitigationVariant.QPRAC_PROACTIVE,
         )
         system, events = make_system(
-            config, qprac_factory(), enable_refresh=True
+            config, DefenseSpec("qprac+proactive").factory(),
+            enable_refresh=True,
         )
         system.enqueue(system.mapper.compose(row=7), False, 500.0, None)
         events.run(until=config.timing.t_refi * 2.5)

@@ -176,11 +176,16 @@ class TestCounterSizing:
 
 class TestSystemConfig:
     def test_default_variant_is_energy_aware(self):
-        assert default_config().variant is MitigationVariant.QPRAC_PROACTIVE_EA
+        """The default defense lives beside the registry, not in the
+        configuration, which names no defense at all."""
+        from dataclasses import fields
 
-    def test_with_variant(self):
-        cfg = default_config().with_variant(MitigationVariant.QPRAC)
-        assert cfg.variant is MitigationVariant.QPRAC
+        from repro.defenses import DEFAULT_DEFENSE
+
+        assert DEFAULT_DEFENSE == MitigationVariant.QPRAC_PROACTIVE_EA.value
+        assert [f.name for f in fields(SystemConfig)] == [
+            "prac", "timing", "org", "cpu",
+        ]
 
     def test_with_prac_overrides(self):
         cfg = default_config().with_prac(n_bo=64)
