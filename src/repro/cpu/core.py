@@ -239,6 +239,12 @@ class TraceCore:
             self._inst_retired = issued
             self._finish()
 
+    def detach(self) -> None:
+        """Drop the issue and finish callbacks, so a finished core no
+        longer keeps the system that built it alive.  The core cannot
+        issue again afterwards."""
+        self._issue_fn = self._on_finish = self._hot = None
+
     def _on_write_done(self, done_ns: float) -> None:
         was_full = self._writes_in_flight >= WRITE_BUFFER_DEPTH
         self._writes_in_flight -= 1

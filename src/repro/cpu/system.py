@@ -243,3 +243,16 @@ class MulticoreSystem:
             llc_hit_rate=self.llc.hit_rate,
             mitigations=self.memory.defense_stats(),
         )
+
+    def release(self) -> None:
+        """Break the system's reference cycle once its run has been read.
+
+        Every core holds this system's bound ``_issue_access`` and
+        ``_core_finished``, so a finished system — with its LLC, one
+        ``OrderedDict`` per set — is a cycle that only the cyclic
+        garbage collector frees.  Detaching the cores hands the system
+        back to reference counting: it is freed as soon as its last
+        outside reference goes.  The system cannot run again afterwards.
+        """
+        for core in self.cores:
+            core.detach()

@@ -23,7 +23,12 @@ Shipped backends:
     ``run_sweep(jobs=N)`` path, extracted.  Every finished chunk is
     emitted — and so flushed to the
     :class:`~repro.exp.cache.ResultStore` — as it completes, so a
-    sweep killed mid-run resumes from cache.
+    sweep killed mid-run resumes from cache.  By default each
+    ``execute`` forks its own pool and shuts it down on return; a
+    caller that runs many sweeps (the sweep service) hands in a ready
+    ``executor`` instead, whose workers — and their in-process trace
+    and inert-run memos — outlive the call.  ``metrics["spawned"]``
+    says which it was: the processes this call started.
 ``remote-fleet``
     The supervised fleet tier (:mod:`repro.fleet.coordinator`,
     registered lazily): ``python -m repro worker`` per host in a host
@@ -54,11 +59,13 @@ Adding a backend::
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Sequence
 
 from repro.errors import ReproError
+from repro.obs.telemetry import TELEMETRY_ENV
 
 #: One pending unit of work: (position in the sweep, picklable task).
 Task = tuple[int, object]
@@ -197,9 +204,27 @@ class SerialBackend(SweepBackend):
 # ----------------------------------------------------------------------
 # pool
 # ----------------------------------------------------------------------
-def _execute_task_batch(run_one: RunOneFn, objs: list) -> list[dict]:
-    """``pool`` worker entry point: run one chunk of tasks."""
+def _execute_task_batch(
+    run_one: RunOneFn, objs: list, telemetry_env: str | None
+) -> list[dict]:
+    """``pool`` worker entry point: run one chunk of tasks.
+
+    ``telemetry_env`` is the dispatching process's
+    :data:`~repro.obs.TELEMETRY_ENV` value.  A worker reused across
+    sweeps was forked with whatever the environment held back then, so
+    the chunk sets (or clears) the variable before running rather than
+    relying on fork-time inheritance.
+    """
+    if telemetry_env is None:
+        os.environ.pop(TELEMETRY_ENV, None)
+    else:
+        os.environ[TELEMETRY_ENV] = telemetry_env
     return [run_one(obj) for obj in objs]
+
+
+def _process_count(pool: ProcessPoolExecutor) -> int:
+    """Worker processes ``pool`` has started (it has no public view)."""
+    return len(getattr(pool, "_processes", None) or ())
 
 
 @register_backend("pool")
@@ -210,21 +235,32 @@ class PoolBackend(SweepBackend):
     worker); chunks are consumed as they complete, not in submission
     order, so every finished result reaches ``emit`` — and the store —
     immediately.
+
+    ``executor`` runs the chunks on a caller-owned pool of ``jobs``
+    workers, which this backend neither starts nor shuts down; without
+    one, each :meth:`execute` forks ``min(jobs, tasks)`` workers and
+    joins them before returning.
     """
 
     def __init__(
-        self, jobs: int = 1, hosts: Sequence[str] | None = None
+        self,
+        jobs: int = 1,
+        hosts: Sequence[str] | None = None,
+        executor: ProcessPoolExecutor | None = None,
     ) -> None:
         del hosts
         if jobs < 1:
             raise ReproError(f"pool backend needs jobs >= 1, got {jobs}")
         self.jobs = jobs
+        self.executor = executor
 
     def execute(
         self, tasks: Sequence[Task], run_one: RunOneFn, emit: EmitFn
     ) -> None:
         if not tasks:
-            self.metrics = {"workers": 0, "tasks": 0, "wall_s": 0.0}
+            self.metrics = {
+                "workers": 0, "spawned": 0, "tasks": 0, "wall_s": 0.0,
+            }
             return
         started = time.perf_counter()
         workers = min(self.jobs, len(tasks))
@@ -233,22 +269,40 @@ class PoolBackend(SweepBackend):
             list(tasks[start:start + chunksize])
             for start in range(0, len(tasks), chunksize)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _execute_task_batch, run_one, [obj for _, obj in chunk]
-                ): chunk
-                for chunk in chunks
-            }
-            for future in as_completed(futures):
-                for (index, _obj), payload in zip(
-                    futures[future], future.result()
-                ):
-                    emit(index, payload)
+        if self.executor is not None:
+            spawned = self._dispatch(self.executor, chunks, run_one, emit)
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                spawned = self._dispatch(pool, chunks, run_one, emit)
         self.metrics = {
             "workers": workers,
+            "spawned": spawned,
             "tasks": len(tasks),
             "chunks": len(chunks),
             "chunk_size": chunksize,
             "wall_s": time.perf_counter() - started,
         }
+
+    @staticmethod
+    def _dispatch(
+        pool: ProcessPoolExecutor,
+        chunks: list[list[Task]],
+        run_one: RunOneFn,
+        emit: EmitFn,
+    ) -> int:
+        """Run ``chunks`` on ``pool``; returns the processes it started."""
+        before = _process_count(pool)
+        telemetry_env = os.environ.get(TELEMETRY_ENV)
+        futures = {
+            pool.submit(
+                _execute_task_batch, run_one, [obj for _, obj in chunk],
+                telemetry_env,
+            ): chunk
+            for chunk in chunks
+        }
+        for future in as_completed(futures):
+            for (index, _obj), payload in zip(
+                futures[future], future.result()
+            ):
+                emit(index, payload)
+        return _process_count(pool) - before

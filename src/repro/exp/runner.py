@@ -65,7 +65,8 @@ def execute_job(job: Job) -> dict:
     representation shared with the cache.
 
     Telemetry crosses the process boundary through the environment
-    (:data:`~repro.obs.TELEMETRY_ENV`, set by ``run_sweep``): when
+    (:data:`~repro.obs.TELEMETRY_ENV`, set by ``run_sweep`` and carried
+    to ``pool`` workers with each chunk): when
     enabled, the recorder's export rides as an ``"_obs"`` side channel
     on the payload — *beside* the canonical result fields, never among
     them, so cache rows and aggregate digests stay byte-identical with
@@ -83,12 +84,6 @@ def execute_job(job: Job) -> dict:
     if telemetry is not None:
         payload["_obs"] = telemetry.export()
     return payload
-
-
-def execute_chunk(chunk: list[Job]) -> list[dict]:
-    """Run a batch of jobs, return their payloads (kept for callers that
-    predate the backend layer)."""
-    return [execute_job(job) for job in chunk]
 
 
 @dataclass

@@ -21,15 +21,30 @@ Dedup and replay semantics:
 
 Store safety: every run opens a *fresh* :class:`~repro.exp.ResultStore`
 instance, so concurrent worker threads never share one in-memory index;
-the store's sidecar flock plus the reconcile-on-put path (PR 9) make
+the store's sidecar flock plus the reconcile-on-put path make
 interleaved appends safe and visible.
+
+Warm pool: each worker thread owns at most one
+:class:`~concurrent.futures.ProcessPoolExecutor` of ``jobs`` processes
+and hands it to every ``pool`` request it runs (and every ``auto``
+request with ``jobs > 1``), so consecutive sweeps skip the fork and
+find the workers' trace and inert-run memos warm.  The executor is
+created on the thread's first such request and replaced when a request
+asks for a different ``jobs`` or after its pool broke (a worker died);
+a broken pool fails only the sweep it was running.  At most
+``workers x jobs`` pool processes exist at once, and :meth:`stop`
+shuts every executor down and waits for its processes, so none outlives
+the service; a worker of a service killed outright exits within a
+second.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -93,6 +108,22 @@ class SweepRecord:
         return payload
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """Warm-pool worker initializer: exit once the service is gone.
+
+    :meth:`SweepService.stop` shuts the pools down, but a service killed
+    outright (SIGKILL) never gets there, and its idle workers would
+    wait on their task queue for good.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 class SweepService:
     """Bounded, deduplicating sweep queue with graceful drain.
 
@@ -127,6 +158,9 @@ class SweepService:
         self._queue: deque[str] = deque()
         self._cond = threading.Condition()
         self._threads: list[threading.Thread] = []
+        #: ``(jobs, executor)`` of each worker thread's warm pool, by
+        #: thread name.
+        self._pools: dict[str, tuple[int, ProcessPoolExecutor]] = {}
         self._draining = False
         self._stopped = False
 
@@ -165,13 +199,19 @@ class SweepService:
                 self._cond.wait(timeout=remaining)
 
     def stop(self, timeout: float | None = 10.0) -> bool:
-        """Drain, then terminate the worker threads."""
+        """Drain, terminate the worker threads, then shut every warm
+        pool down and wait for its processes to exit."""
         drained = self.drain(timeout=timeout)
         with self._cond:
             self._stopped = True
             self._cond.notify_all()
         for thread in self._threads:
             thread.join(timeout=timeout)
+        with self._cond:
+            pools = [pool for _, pool in self._pools.values()]
+            self._pools.clear()
+        for pool in pools:
+            pool.shutdown(wait=True)
         return drained
 
     @property
@@ -310,15 +350,47 @@ class SweepService:
                 with self._cond:
                     self._cond.notify_all()
 
+    def _warm_pool(self, jobs: int) -> ProcessPoolExecutor:
+        """The calling worker thread's executor of ``jobs`` processes,
+        replacing one of another size or one whose pool broke."""
+        name = threading.current_thread().name
+        with self._cond:
+            size, pool = self._pools.get(name, (jobs, None))
+        # ``_broken`` is the executor's own verdict (a worker died): it
+        # refuses every later submission, so the pool is replaced.
+        if pool is not None and (size != jobs or pool._broken):
+            pool.shutdown(wait=True)
+            pool = None
+        if pool is None:
+            pool = ProcessPoolExecutor(
+                max_workers=jobs, initializer=_exit_with_parent,
+                initargs=(os.getpid(),),
+            )
+            with self._cond:
+                self._pools[name] = (jobs, pool)
+        return pool
+
     def _build_backend(self, request: SweepRequest):
         """Run options -> backend argument for ``run_sweep``.
 
-        Fault injection builds the fleet backend *instance* with an
-        explicit plan (thread-safe, unlike the ``REPRO_FLEET_FAULTS``
-        process environment the CLI uses); everything else passes the
-        registry name through.  The fleet spools under the service's
-        cache dir so ``repro cache info``/``gc`` see its leavings.
+        A local multi-process request (``pool``, or ``auto`` with
+        ``jobs > 1``) gets a ``pool`` backend over the thread's warm
+        executor.  Fault injection builds the fleet backend *instance*
+        with an explicit plan (thread-safe, unlike the
+        ``REPRO_FLEET_FAULTS`` process environment the CLI uses);
+        everything else passes the registry name through.  The fleet
+        spools under the service's cache dir so ``repro cache
+        info``/``gc`` see its leavings.
         """
+        if not request.hosts and (
+            request.backend == "pool"
+            or (request.backend == "auto" and request.jobs > 1)
+        ):
+            from repro.exp.backend import PoolBackend
+
+            return PoolBackend(
+                jobs=request.jobs, executor=self._warm_pool(request.jobs)
+            )
         if request.faults is None:
             return request.backend
         from repro.fleet.coordinator import RemoteFleetBackend

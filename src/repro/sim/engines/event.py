@@ -33,6 +33,16 @@ replay stops there and the job is simulated in full.  Defenses with a
 ``rfm_cadence_acts`` are always simulated in full.  A served job
 returns the stored result with its own ``variant`` label and its own
 defenses' mitigation counts, byte-identical to a full simulation.
+
+**A simulated system is freed before** :meth:`EventEngine.simulate`
+**returns.**  A finished :class:`~repro.cpu.system.MulticoreSystem` is a
+reference cycle (system -> cores -> bound ``_issue_access`` -> system)
+holding its LLC, one ``OrderedDict`` per set, about 5 MB.  Left to the
+cyclic collector, several of them pile up in a process that runs many
+jobs (a warm ``pool`` worker, a serial sweep).  ``simulate`` breaks the
+cycle (:meth:`~repro.cpu.system.MulticoreSystem.release`) once the
+result, the event count and the hook log are taken, so reference
+counting frees the system at once.
 """
 
 from __future__ import annotations
@@ -181,14 +191,19 @@ class EventEngine(SimEngine):
         )
         result = system.run(variant_name=variant_name)
         self.work_units = system.events.events_processed
+        memory = system.memory
+        # Free the finished system (and its LLC) here, by refcount,
+        # rather than at some later gen-2 collection.
+        system.release()
+        del system
         # The controller normalized the designator; observed runs carry
         # their summary out-of-band of the canonical payload.
-        if system.memory.telemetry is not None:
-            result.latency = system.memory.telemetry.summary_dict()
+        if memory.telemetry is not None:
+            result.latency = memory.telemetry.summary_dict()
         elif result.alerts == result.rfm_commands == result.cadence_rfms == 0:
             stored = replace(result, core_ipcs=list(result.core_ipcs))
             with _inert_lock:
-                _inert_runs[key] = (stored, system.memory.hook_log)
+                _inert_runs[key] = (stored, memory.hook_log)
                 _inert_runs.move_to_end(key)
                 if len(_inert_runs) > INERT_RUNS_MAXSIZE:
                     _inert_runs.popitem(last=False)

@@ -23,6 +23,7 @@ Four layers of guarantees:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -166,6 +167,36 @@ def test_event_engine_is_the_default_path():
         "429.mcf", defense="qprac", n_entries=1200, engine="event"
     )
     assert result_digest(default) == result_digest(explicit)
+
+
+def test_event_simulate_frees_its_system_without_the_cyclic_gc():
+    """A finished system is freed by refcounting before ``simulate``
+    returns, not left as a cycle for the next gen-2 collection."""
+    from repro.cpu.system import MulticoreSystem
+    from repro.defenses import DefenseSpec
+    from repro.params import SystemConfig
+    from repro.sim.engines.event import EventEngine, clear_inert_runs
+    from repro.workloads import workload
+
+    def systems() -> set[int]:
+        return {
+            id(obj) for obj in gc.get_objects()
+            if isinstance(obj, MulticoreSystem)
+        }
+
+    clear_inert_runs()  # simulate in full, not by inert replay
+    gc.collect()
+    gc.disable()
+    try:
+        before = systems()
+        EventEngine().simulate(
+            workload("429.mcf"), SystemConfig(),
+            DefenseSpec.of("qprac").factory(), 300, 0, "qprac",
+        )
+        left = systems() - before
+    finally:
+        gc.enable()
+    assert not left
 
 
 def test_epoch_deterministic_across_runs():

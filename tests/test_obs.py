@@ -253,6 +253,8 @@ def test_pool_backend_metrics(tmp_path):
     )
     metrics = sweep.metrics.backend_metrics
     assert metrics["workers"] == 2
+    # A per-call pool forks its workers: the sweep paid for both.
+    assert metrics["spawned"] == 2
     assert metrics["tasks"] == sweep.executed == 4
     # 4 tasks over 2 workers: ~4 chunks per worker caps at one task each.
     assert metrics["chunks"] == 4 and metrics["chunk_size"] == 1

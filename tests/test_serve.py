@@ -9,7 +9,13 @@ jobs and report the same digest.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -31,10 +37,34 @@ from repro.serve import (
 GRID = {"workloads": ["429.mcf"], "defenses": ["qprac"], "entries": 150}
 
 
-def serial_digest(tmp_path) -> str:
-    spec = build_spec(["429.mcf"], defenses=["qprac"], entries=150)
+def serial_digest(tmp_path, **grid) -> str:
+    """Digest of a ``serial`` run of ``GRID`` (updated by ``grid``)."""
+    grid = {**GRID, **grid}
+    spec = build_spec(
+        grid["workloads"], defenses=grid["defenses"],
+        entries=grid["entries"], seed=grid.get("seed", 0),
+    )
     store = ResultStore(tmp_path / "serial-cache")
     return sweep_digest(run_sweep(spec, store=store, backend="serial"))
+
+
+def pool_pids() -> set[int]:
+    """Live ``multiprocessing`` children of this process."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie left
+    for a non-reaping init counts as exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
 
 
 @pytest.fixture
@@ -252,6 +282,110 @@ class TestService:
         expected = trace_path_for(service.cache_dir, snapshot["sweep_id"])
         assert final["trace_path"] == str(expected)
         assert expected.exists()
+
+
+class TestWarmPool:
+    """``pool`` requests reuse the worker thread's executor."""
+
+    POOL = dict(GRID, backend="pool", jobs=2)
+
+    def run(self, svc, **grid) -> dict:
+        snapshot, code = svc.submit(dict(self.POOL, **grid))
+        assert code == 202
+        return svc.status(snapshot["sweep_id"], wait_s=120.0)
+
+    def test_reused_workers_follow_each_requests_trace_flag(self, tmp_path):
+        from repro.obs import read_trace
+
+        svc = SweepService(cache_dir=tmp_path / "cache", workers=1).start()
+        try:
+            quiet = self.run(svc, trace=False)
+            workers = pool_pids()
+            traced = self.run(svc, trace=True, seed=1)
+            third = self.run(svc, seed=2)
+            assert pool_pids() == workers and len(workers) == 2
+        finally:
+            svc.stop(timeout=60.0)
+        assert [quiet["state"], traced["state"], third["state"]] == [
+            "done"] * 3
+        assert quiet["digest"] == serial_digest(tmp_path)
+        assert traced["digest"] == serial_digest(tmp_path / "1", seed=1)
+        assert third["digest"] == serial_digest(tmp_path / "2", seed=2)
+        # Telemetry follows the request, not the environment the
+        # workers were forked with.
+        quiet_jobs = read_trace(quiet["trace_path"])["jobs"]
+        traced_jobs = read_trace(traced["trace_path"])["jobs"]
+        assert not any("latency" in row for row in quiet_jobs)
+        assert all(row["latency"]["count"] > 0 for row in traced_jobs)
+        spawns = [
+            read_trace(final["trace_path"])["header"]["metrics"]
+            ["backend_metrics"]["spawned"]
+            for final in (quiet, traced, third)
+        ]
+        assert spawns == [2, 0, 0]
+
+    def test_killed_worker_fails_only_the_sweep_in_flight(self, tmp_path):
+        svc = SweepService(cache_dir=tmp_path / "cache", workers=1).start()
+        try:
+            doomed, _ = svc.submit(dict(
+                self.POOL, workloads=["429.mcf", "470.lbm"],
+                defenses=["qprac", "moat"], entries=3000,
+            ))
+            deadline = time.monotonic() + 60.0
+            while len(pool_pids()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            killed = pool_pids()
+            assert len(killed) == 2
+            os.kill(min(killed), signal.SIGKILL)
+            failed = svc.status(doomed["sweep_id"], wait_s=120.0)
+            assert failed["state"] == "failed"
+            assert "BrokenProcessPool" in failed["error"]
+            after = self.run(svc)
+            fresh = pool_pids()
+        finally:
+            svc.stop(timeout=60.0)
+        assert after["state"] == "done"
+        assert after["digest"] == serial_digest(tmp_path)
+        assert len(fresh) == 2 and not fresh & killed
+
+    def test_workers_exit_when_the_service_is_killed(self, tmp_path):
+        # SIGKILL skips stop(): the idle warm workers must notice on
+        # their own that the service is gone.
+        script = (
+            "import multiprocessing, os, signal\n"
+            "from repro.serve import SweepService\n"
+            f"svc = SweepService(cache_dir={str(tmp_path)!r}).start()\n"
+            f"snapshot, _ = svc.submit({self.POOL!r})\n"
+            "svc.status(snapshot['sweep_id'], wait_s=120.0)\n"
+            "print(*[c.pid for c in multiprocessing.active_children()],"
+            " flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        # A file, not a pipe: orphans holding a pipe would block run().
+        out = tmp_path / "pids.txt"
+        with out.open("w") as fh:
+            subprocess.run([sys.executable, "-c", script], stdout=fh,
+                           timeout=120)
+        orphans = {int(pid) for pid in out.read_text().split()}
+        assert len(orphans) == 2
+        deadline = time.monotonic() + 30.0
+        while orphans and time.monotonic() < deadline:
+            orphans = {pid for pid in orphans if running(pid)}
+            time.sleep(0.1)
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert not orphans
+
+    def test_stop_reaps_every_pool_worker(self, tmp_path):
+        svc = SweepService(cache_dir=tmp_path / "cache", workers=2).start()
+        first, _ = svc.submit(self.POOL)
+        second, _ = svc.submit(dict(self.POOL, seed=1, jobs=1))
+        for snapshot in (first, second):
+            assert svc.status(snapshot["sweep_id"], wait_s=120.0)[
+                "state"] == "done"
+        assert pool_pids()
+        svc.stop(timeout=60.0)
+        assert multiprocessing.active_children() == []
 
 
 class TestHTTP:
