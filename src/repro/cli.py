@@ -17,7 +17,6 @@ Usage::
     python -m repro serve             # HTTP sweep service (submit/stream)
     python -m repro submit 429.mcf    # POST a sweep to the service
     python -m repro status <id>       # poll/stream a submitted sweep
-    python -m repro bench             # simulator throughput benchmark
     python -m repro stats             # summarize a sweep trace
     python -m repro fleet status      # per-host fleet supervision counters
     python -m repro trace             # dump per-request latency samples
@@ -29,13 +28,14 @@ Defenses are addressed by registry name with optional parameters, e.g.
 ``--defenses qprac moat:proactive_every_n_refs=4 mithril:t_rh=256``;
 simulation engines likewise (``--engine epoch:trefi_chunk=4``).
 
-Every subcommand prints the same plain-text tables the benchmark harness
-writes to ``benchmarks/results/``.
+Every subcommand prints the same plain-text tables the figure benchmarks
+write to ``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -501,136 +501,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0 if snapshot.get("state") != "failed" else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        DEFAULT_CELLS,
-        DEFAULT_ENTRIES,
-        QUICK_ENTRIES,
-        compare_reports,
-        latest_trajectory_for_engine,
-        load_report,
-        regressions,
-        run_bench,
-        write_report,
-    )
-
-    entries = args.entries
-    if entries is None:
-        entries = QUICK_ENTRIES if args.quick else DEFAULT_ENTRIES
-    repeats = args.repeats
-    if repeats is None:
-        repeats = 1 if args.quick else 5
-    report = run_bench(
-        cells=DEFAULT_CELLS,
-        n_entries=entries,
-        repeats=repeats,
-        quick=args.quick,
-        progress=None if args.quiet else stderr_progress_line,
-        backend=args.backend,
-        workers=args.jobs,
-        hosts=args.hosts,
-        engine=args.engine,
-        telemetry=not args.no_telemetry,
-    )
-    from repro.obs.stats import format_ns
-
-    rows = [
-        [
-            c.workload, c.defense, c.n_entries, round(c.wall_s, 3),
-            c.events, f"{c.events_per_s:,.0f}",
-            format_ns((c.latency or {}).get("p50_ns")),
-            format_ns((c.latency or {}).get("p99_ns")),
-        ]
-        for c in report.cells
-    ]
-    print(render_table(
-        f"Simulator benchmark ({entries} accesses/core, "
-        f"best of {repeats}, engine={report.engine})",
-        ["workload", "defense", "entries", "wall s", "work units",
-         "units/s", "p50", "p99"],
-        rows,
-    ))
-    if report.reference_event is not None:
-        speedup = report.speedup_vs_event
-        print(
-            f"reference cell vs event engine: "
-            f"{report.reference_event.wall_s:.3f}s event / "
-            f"{report.reference.wall_s:.3f}s {report.engine} = "
-            f"x{speedup:.2f}"
-        )
-
-    previous_path = None
-    if args.baseline:
-        previous_path = args.baseline
-    else:
-        # The newest point *of this engine*: wall clocks only compare
-        # within one engine, so a different engine's newer point must
-        # never shadow the real baseline (the gate would no-op).
-        previous_path = latest_trajectory_for_engine(
-            args.out_dir, report.engine
-        )
-
-    status = 0
-    if previous_path is not None and not args.no_compare:
-        previous = load_report(previous_path)
-        if args.baseline and previous.engine != report.engine:
-            # An explicitly-passed baseline of the wrong engine must
-            # fail loudly: pairing zero cells would leave a regression
-            # gate (CI's per-engine bench-smoke legs) permanently
-            # green.  The default baseline is engine-matched upstream.
-            print(
-                f"error: baseline {previous_path} was recorded under "
-                f"engine {previous.engine!r}, this run is "
-                f"{report.engine!r}; wall clocks only compare within "
-                "one engine (re-record the baseline with "
-                f"--engine {report.engine})",
-                file=sys.stderr,
-            )
-            return 1
-        comparisons = compare_reports(report, previous)
-        if previous.host != report.host:
-            print(
-                f"note: baseline {previous_path} was recorded on a "
-                "different host; wall-clock comparison is approximate",
-                file=sys.stderr,
-            )
-        if comparisons:
-            print()
-            print(render_table(
-                f"vs {previous_path}",
-                ["cell", "wall s", "prev s", "speedup", "regression %"],
-                [
-                    [
-                        c.key, round(c.wall_s, 3),
-                        round(c.previous_wall_s, 3),
-                        f"{c.speedup:.2f}x", round(c.regression_pct, 1),
-                    ]
-                    for c in comparisons
-                ],
-            ))
-            regressed = regressions(comparisons, args.threshold)
-            if regressed:
-                worst = max(regressed, key=lambda c: c.regression_pct)
-                print(
-                    f"REGRESSION: {len(regressed)} cell(s) slower than "
-                    f"{previous_path} by more than {args.threshold}% "
-                    f"(worst: {worst.key} +{worst.regression_pct:.1f}%)",
-                    file=sys.stderr,
-                )
-                status = 1
-        else:
-            print(
-                f"note: no comparable cells in {previous_path} "
-                "(different entry counts or engine)",
-                file=sys.stderr,
-            )
-
-    if not args.no_write:
-        path = write_report(report, args.out_dir)
-        print(f"wrote {path}")
-    return status
-
-
 def stderr_progress_line(line: str) -> None:
     print(line, file=sys.stderr)
 
@@ -1014,54 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_status)
 
     p = sub.add_parser(
-        "bench",
-        help="simulator throughput benchmark (BENCH_*.json trajectory)",
-        description="Measure the simulator's end-to-end throughput on "
-        "standard workload x defense cells, write a BENCH_<timestamp>.json "
-        "trajectory point, and compare against the previous point.",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke mode: 4000 accesses/core, 1 repeat")
-    p.add_argument("--entries", type=int, default=None,
-                   help="accesses per core per cell "
-                   "(default 20000; 4000 with --quick)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="repeats per cell; best time wins "
-                   "(default 5; 1 with --quick)")
-    p.add_argument("--out-dir", default=".",
-                   help="directory of the BENCH_*.json trajectory "
-                   "(default: current directory)")
-    p.add_argument("--baseline", default=None,
-                   help="explicit previous BENCH_*.json to compare against "
-                   "(default: newest in --out-dir)")
-    p.add_argument("--threshold", type=float, default=20.0,
-                   help="fail when a cell regresses by more than this "
-                   "percent vs the baseline (default 20)")
-    p.add_argument("--no-write", action="store_true",
-                   help="measure and compare, but write no trajectory point")
-    p.add_argument("--no-compare", action="store_true",
-                   help="skip the regression comparison")
-    p.add_argument("--backend", default="serial",
-                   help="cell-execution backend (see `repro backends`); "
-                   "serial (default) gives the cleanest timings, the "
-                   "parallel backends trade per-cell precision for a "
-                   "faster full run")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for parallel backends")
-    p.add_argument("--hosts", nargs="+", default=None, metavar="HOST",
-                   help="host list for --backend remote-fleet")
-    p.add_argument("--engine", default="event",
-                   help="simulation engine for every cell (see `repro "
-                   "engines`); non-event runs also measure the event "
-                   "reference cell and record speedup_vs_event")
-    p.add_argument("--no-telemetry", action="store_true",
-                   help="skip the untimed latency pass per cell (the "
-                   "timed repeats never record telemetry either way)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-cell progress on stderr")
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser(
         "stats",
         help="summarize a sweep trace (metrics, store health, latency)",
         description="Read a JSONL sweep trace written next to the result "
@@ -1128,9 +950,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flush here so a closed pipe raises inside this try.
+        sys.stdout.flush()
+        return status
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away (``repro stats | head``): send the rest
+        # of stdout, including the flush at exit, to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

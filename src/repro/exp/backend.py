@@ -10,8 +10,8 @@ callback.  The caller persists and reassembles; the backend only decides
 
 Backends are resolved by name through a registry that mirrors
 ``@register_defense``: anything registered here is addressable from
-``run_sweep(..., backend="name")``, ``run_attack_jobs``, ``run_bench``
-and the CLI (``repro sweep --backend pool --jobs 4``).
+``run_sweep(..., backend="name")``, ``run_attack_jobs`` and the CLI
+(``repro sweep --backend pool --jobs 4``).
 
 Shipped backends:
 

@@ -31,7 +31,10 @@ request with ``jobs > 1``), so consecutive sweeps skip the fork and
 find the workers' trace and inert-run memos warm.  The executor is
 created on the thread's first such request and replaced when a request
 asks for a different ``jobs`` or after its pool broke (a worker died);
-a broken pool fails only the sweep it was running.  At most
+a broken pool fails only the sweep it was running.  Pool workers
+run in their own process group with default signal handlers, so a
+SIGTERM to one worker ends it, and a signal to the service's group
+drains the service without killing its workers.  At most
 ``workers x jobs`` pool processes exist at once, and :meth:`stop`
 shuts every executor down and waits for its processes, so none outlives
 the service; a worker of a service killed outright exits within a
@@ -41,6 +44,7 @@ second.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time
 from collections import deque
@@ -109,12 +113,25 @@ class SweepRecord:
 
 
 def _exit_with_parent(parent_pid: int) -> None:
-    """Warm-pool worker initializer: exit once the service is gone.
+    """Warm-pool worker initializer: leave signals to the service, and
+    exit once the service is gone.
+
+    A forked worker inherits the service's SIGTERM/SIGINT drain handler
+    (:func:`repro.serve.http.serve`), which would run ``stop()`` on the
+    worker's copy of the service instead of ending it.  So the worker
+    restores the default handlers, and a SIGTERM sent to it ends it;
+    the next request then gets a fresh pool.  It also leaves the
+    service's process group, so a signal to the whole group (Ctrl-C,
+    ``kill -TERM -<pgid>``) reaches only the service, which drains the
+    sweep these workers are running and then shuts them down.
 
     :meth:`SweepService.stop` shuts the pools down, but a service killed
     outright (SIGKILL) never gets there, and its idle workers would
     wait on their task queue for good.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    os.setpgid(0, 0)
 
     def watch() -> None:
         while os.getppid() == parent_pid:

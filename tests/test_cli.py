@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import fcntl
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -119,11 +125,12 @@ class TestParser:
         assert args.jobs_file == "/tmp/j.pkl" and args.out == "/tmp/o.jsonl"
         assert build_parser().parse_args(["worker", "--probe"]).probe
 
-    def test_bench_backend_options(self):
-        args = build_parser().parse_args(
-            ["bench", "--backend", "pool", "--jobs", "2"]
-        )
-        assert args.backend == "pool" and args.jobs == 2
+    def test_bench_is_not_a_command(self, capsys):
+        # The benchmark harness is sweepbench/run.py, not a subcommand.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -313,3 +320,41 @@ def test_write_csv(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(str(path), ["a", "b"], [[1, 2], [3, 4]])
     assert path.read_text().splitlines() == ["a,b", "1,2", "3,4"]
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
+                    reason="needs a resizable pipe")
+def test_closed_output_pipe_exits_without_traceback(capsys):
+    """``repro workloads | head -1``: the reader closes the pipe while
+    the table is still being written."""
+    assert main(["workloads"]) == 0
+    table = capsys.readouterr().out.encode()
+    first_line = table.split(b"\n", 1)[0] + b"\n"
+    read_fd, write_fd = os.pipe()
+    # A one-page pipe cannot hold the table, so its write is still
+    # pending when the reader leaves.
+    size = fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    if len(table) <= size + len(first_line):
+        os.close(read_fd)
+        os.close(write_fd)
+        pytest.skip(f"a {size}-byte pipe holds the whole table")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    existing = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (
+        os.pathsep + existing if existing else ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "workloads"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_fd)
+    line = b""
+    # Byte by byte, so the pipe is not drained past the first line.
+    while not line.endswith(b"\n"):
+        byte = os.read(read_fd, 1)
+        if not byte:
+            break
+        line += byte
+    os.close(read_fd)
+    _, err = proc.communicate(timeout=120)
+    assert line == first_line
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

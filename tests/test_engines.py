@@ -497,111 +497,8 @@ def test_epoch_llc_filter_matches_canonical_cache(llc_kib, overflowing):
 
 
 # ----------------------------------------------------------------------
-# Engine metadata downstream: bench cells and the CLI listing
+# Engine metadata downstream: the CLI listing
 # ----------------------------------------------------------------------
-def test_bench_records_engine_and_speedup():
-    from repro.bench import BenchReport, run_bench
-
-    report = run_bench(
-        cells=(("429.mcf", "qprac"),), n_entries=400, repeats=1,
-        quick=True, engine="epoch",
-    )
-    assert report.engine == "epoch"
-    assert all(cell.engine == "epoch" for cell in report.cells)
-    assert report.reference_event is not None
-    assert report.reference_event.engine == "event"
-    payload = report.to_dict()
-    assert payload["meta"]["engine"] == "epoch"
-    assert payload["speedup_vs_event"] == report.speedup_vs_event > 0
-    restored = BenchReport.from_dict(payload)
-    assert restored.engine == "epoch"
-    assert restored.reference_event.wall_s == \
-        report.reference_event.wall_s
-
-
-def test_bench_cells_time_the_full_event_loop():
-    """Every timed repeat runs the event loop: a second measurement of
-    an inert cell is not served by inert-run replay."""
-    from repro.bench import _measure_cell
-
-    first = _measure_cell("429.mcf", "baseline", 400)[1]
-    second = _measure_cell("429.mcf", "baseline", 400)[1]
-    assert first == second > 0
-
-
-def test_bench_comparison_never_pairs_engines():
-    from repro.bench import BenchReport, CellResult, compare_reports
-
-    def report(engine, wall):
-        return BenchReport(
-            cells=[CellResult(
-                workload="429.mcf", defense="qprac", n_entries=400,
-                wall_s=wall, events=100, events_per_s=100 / wall,
-                sim_time_ns=1.0, repeats=1, engine=engine,
-            )],
-            quick=True, repeats=1, timestamp="t", engine=engine,
-        )
-
-    crossed = compare_reports(report("epoch", 1.0), report("event", 9.0))
-    assert crossed == []
-    same = compare_reports(report("epoch", 1.0), report("epoch", 2.0))
-    assert len(same) == 1 and same[0].speedup == 2.0
-
-
-def test_latest_trajectory_skips_malformed_and_matches_engine(tmp_path):
-    import json
-
-    from repro.bench import (
-        BenchReport, CellResult, latest_trajectory_for_engine,
-        write_report,
-    )
-
-    def report(engine, stamp):
-        return BenchReport(
-            cells=[CellResult(
-                workload="429.mcf", defense="qprac", n_entries=400,
-                wall_s=1.0, events=100, events_per_s=100.0,
-                sim_time_ns=1.0, repeats=1, engine=engine,
-            )],
-            quick=True, repeats=1, timestamp=stamp, engine=engine,
-        )
-
-    event_path = write_report(report("event", "20000101T000000Z"), tmp_path)
-    write_report(report("epoch", "20000102T000000Z"), tmp_path)
-    # Newest overall is epoch; the event lookup must skip past it.
-    assert latest_trajectory_for_engine(tmp_path, "event") == event_path
-    assert latest_trajectory_for_engine(tmp_path, "no-such") is None
-    # A malformed point (non-dict cells) is skipped, not fatal.
-    (tmp_path / "BENCH_20000103T000000Z.json").write_text(
-        json.dumps({"cells": [42], "meta": {"engine": "event"}})
-    )
-    assert latest_trajectory_for_engine(tmp_path, "event") == event_path
-
-
-def test_cli_bench_rejects_cross_engine_baseline(tmp_path, capsys):
-    from repro.bench import BenchReport, CellResult, write_report
-    from repro.cli import main
-
-    baseline = BenchReport(
-        cells=[CellResult(
-            workload="429.mcf", defense="qprac", n_entries=400,
-            wall_s=1.0, events=100, events_per_s=100.0,
-            sim_time_ns=1.0, repeats=1, engine="event",
-        )],
-        quick=True, repeats=1, timestamp="20000101T000000Z",
-        engine="event",
-    )
-    path = write_report(baseline, tmp_path)
-    status = main([
-        "bench", "--quick", "--entries", "400", "--repeats", "1",
-        "--engine", "epoch", "--baseline", str(path), "--no-write",
-        "--quiet",
-    ])
-    assert status == 1
-    err = capsys.readouterr().err
-    assert "recorded under engine" in err
-
-
 def test_cli_engines_listing(capsys):
     from repro.cli import main
 

@@ -308,52 +308,6 @@ def test_resolve_trace_path_selectors(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Bench surface: percentiles in reports, schema compatibility
-# ----------------------------------------------------------------------
-def test_bench_records_latency_percentiles():
-    from repro.bench import BenchReport, run_bench
-
-    report = run_bench(
-        cells=(("541.leela", "qprac"),), n_entries=300, repeats=1,
-        quick=True,
-    )
-    cell = report.cells[0]
-    assert cell.latency is not None
-    assert cell.latency["count"] > 0
-    for key in ("p50_ns", "p95_ns", "p99_ns"):
-        assert cell.latency[key] > 0
-    loaded = BenchReport.from_dict(report.to_dict())
-    assert loaded.cells[0].latency == cell.latency
-
-
-def test_bench_telemetry_off_leaves_latency_empty():
-    from repro.bench import run_bench
-
-    report = run_bench(
-        cells=(("541.leela", "qprac"),), n_entries=300, repeats=1,
-        quick=True, telemetry=False,
-    )
-    assert report.cells[0].latency is None
-
-
-def test_bench_schema1_reports_still_load():
-    from repro.bench import BenchReport
-
-    legacy = {
-        "schema": 1,
-        "meta": {"timestamp": "x", "quick": True, "repeats": 1, "host": {}},
-        "cells": [{
-            "workload": "429.mcf", "defense": "qprac", "n_entries": 4000,
-            "wall_s": 1.0, "events": 10, "events_per_s": 10.0,
-            "sim_time_ns": 5.0,
-        }],
-    }
-    report = BenchReport.from_dict(legacy)
-    assert report.cells[0].latency is None
-    assert report.cells[0].engine == "event"
-
-
-# ----------------------------------------------------------------------
 # CLI surface: repro stats / repro trace / sweep --trace
 # ----------------------------------------------------------------------
 def test_cli_stats_and_trace(capsys, tmp_path):

@@ -376,6 +376,107 @@ class TestWarmPool:
             os.kill(pid, signal.SIGKILL)
         assert not orphans
 
+    #: ``repro serve`` in a child process, with its signal handlers:
+    #: once the first sweep (argv[2]) has pool workers it prints the
+    #: port, the sweep id and the worker pids, and after the drain the
+    #: sweep's final snapshot.
+    SERVE_SCRIPT = (
+        "import json, multiprocessing, sys, threading, time\n"
+        "from repro.serve import SweepService, serve\n"
+        "svc = SweepService(cache_dir=sys.argv[1], workers=1)\n"
+        "first = {}\n"
+        "def ready(host, port):\n"
+        "    def go():\n"
+        "        snapshot, _ = svc.submit(json.loads(sys.argv[2]))\n"
+        "        first['id'] = snapshot['sweep_id']\n"
+        "        if sys.argv[3] == 'done':\n"
+        "            svc.status(first['id'], wait_s=120.0)\n"
+        "        while len(multiprocessing.active_children()) < 2:\n"
+        "            time.sleep(0.01)\n"
+        "        pids = [c.pid for c in multiprocessing.active_children()]\n"
+        "        print(json.dumps([port, first['id'], pids]), flush=True)\n"
+        "    threading.Thread(target=go, daemon=True).start()\n"
+        "code = serve(svc, port=0, ready=ready)\n"
+        "print(json.dumps(svc.status(first['id'])), flush=True)\n"
+        "sys.exit(code)\n"
+    )
+
+    def serve_child(self, tmp_path, payload: dict, wait: str):
+        """Start ``SERVE_SCRIPT``; returns the process, its output file
+        and the ``[port, sweep_id, worker_pids]`` line."""
+        # A file, not a pipe: workers inherit stdout.
+        out = tmp_path / "serve.out"
+        with out.open("w") as fh:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", self.SERVE_SCRIPT,
+                 str(tmp_path / "cache"), json.dumps(payload), wait],
+                stdout=fh, start_new_session=True,
+            )
+        deadline = time.monotonic() + 120.0
+        while not out.read_text() and time.monotonic() < deadline:
+            assert proc.poll() is None, "service exited early"
+            time.sleep(0.05)
+        return proc, out, json.loads(out.read_text().splitlines()[0])
+
+    def test_sigterm_to_one_worker_ends_it(self, tmp_path):
+        # The worker must not run the inherited drain handler; the next
+        # request replaces the broken pool.
+        proc, out, (port, _, workers) = self.serve_child(
+            tmp_path, self.POOL, "done")
+        try:
+            os.kill(workers[0], signal.SIGTERM)
+            # Gone for good: the pool noticed, marked itself broken and
+            # reaped its processes.
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                try:
+                    os.kill(workers[0], 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("SIGTERM did not end the pool worker")
+            base = f"http://127.0.0.1:{port}"
+            snapshot = client.submit(base, dict(self.POOL, seed=1))
+            after = client.wait_done(base, snapshot["sweep_id"],
+                                     timeout=120.0)
+        finally:
+            os.killpg(proc.pid, signal.SIGTERM)
+            proc.wait(timeout=60)
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+        assert proc.returncode == 0
+        assert after["state"] == "done"
+        assert after["digest"] == serial_digest(tmp_path, seed=1)
+        from repro.obs import read_trace
+
+        header = read_trace(after["trace_path"])["header"]
+        assert header["metrics"]["backend_metrics"]["spawned"] == 2
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                             ids=["SIGTERM", "SIGINT"])
+    def test_group_signal_drains_the_sweep_in_flight(self, tmp_path,
+                                                      signum):
+        # Ctrl-C or `kill -<sig> -<pgid>` reaches the service, not its
+        # workers, so the running sweep still finishes.
+        grid = dict(self.POOL, workloads=["429.mcf", "470.lbm"],
+                    defenses=["qprac", "moat"], entries=3000)
+        proc, out, (_, sweep_id, workers) = self.serve_child(
+            tmp_path, grid, "running")
+        os.killpg(proc.pid, signum)
+        try:
+            proc.wait(timeout=120)
+        finally:
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+        final = json.loads(out.read_text().splitlines()[-1])
+        assert proc.returncode == 0
+        assert final["sweep_id"] == sweep_id
+        assert final["state"] == "done"
+        assert final["executed"] == 6
+
     def test_stop_reaps_every_pool_worker(self, tmp_path):
         svc = SweepService(cache_dir=tmp_path / "cache", workers=2).start()
         first, _ = svc.submit(self.POOL)
